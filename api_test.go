@@ -485,6 +485,9 @@ func TestSimulateSampledValidation(t *testing.T) {
 		{"warm beyond gap", []mcbench.Option{
 			mcbench.WithSampling(4000, 1000, 500),
 			mcbench.WithSamplingWarm(2501)}},
+		{"unit beyond quota", []mcbench.Option{
+			mcbench.WithSampling(4000, 1000, 500),
+			mcbench.WithTraceLen(2000)}},
 	}
 	for _, c := range cases {
 		if _, err := mcbench.Simulate(apiCtx, []string{"mcf"}, c.opts...); err == nil {

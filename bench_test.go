@@ -150,7 +150,7 @@ func BenchmarkDetailedSimulator2Core(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := multicore.Detailed(ctx, w, traces, cache.LRU, 0); err != nil {
+		if _, err := multicore.Run(ctx, w, multicore.Spec{Policy: cache.LRU}, traces, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -163,7 +163,7 @@ func BenchmarkBadcoSimulator2Core(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := multicore.Approximate(ctx, w, models, cache.LRU, 0); err != nil {
+		if _, err := multicore.Run(ctx, w, multicore.Spec{Engine: multicore.BADCO, Policy: cache.LRU}, nil, models); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -176,7 +176,7 @@ func BenchmarkBadcoSimulator8Core(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := multicore.Approximate(ctx, w, models, cache.LRU, 0); err != nil {
+		if _, err := multicore.Run(ctx, w, multicore.Spec{Engine: multicore.BADCO, Policy: cache.LRU}, nil, models); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -221,14 +221,9 @@ func BenchmarkPolicySweepSharedWarmup(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cp, err := multicore.DetailedWarmup(bctx, w, traces, pols[0], sweepWarmupOps)
-		if err != nil {
+		spec := multicore.Spec{Quota: sweepQuotaOps, Warmup: sweepWarmupOps}
+		if _, err := multicore.SweepPoliciesDetailed(bctx, w, spec, pols, traces); err != nil {
 			b.Fatal(err)
-		}
-		for _, p := range pols {
-			if _, err := multicore.DetailedFrom(bctx, cp, traces, p, sweepQuotaOps); err != nil {
-				b.Fatal(err)
-			}
 		}
 	}
 }
@@ -240,7 +235,8 @@ func BenchmarkPolicySweepColdWarmup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range pols {
-			if _, err := multicore.DetailedWithWarmup(bctx, w, traces, p, sweepWarmupOps, sweepQuotaOps); err != nil {
+			spec := multicore.Spec{Policy: p, Quota: sweepQuotaOps, Warmup: sweepWarmupOps}
+			if _, err := multicore.Run(bctx, w, spec, traces, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -418,7 +414,7 @@ func BenchmarkExactDetailed2Core10x(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := multicore.Detailed(ctx, w, traces, cache.LRU, 0); err != nil {
+		if _, err := multicore.Run(ctx, w, multicore.Spec{Policy: cache.LRU}, traces, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -431,7 +427,7 @@ func BenchmarkSampledDetailed2Core10x(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := multicore.DetailedSampled(ctx, w, traces, cache.LRU, spec, 0)
+		r, err := multicore.Run(ctx, w, multicore.Spec{Policy: cache.LRU, Sampling: spec}, traces, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -45,7 +45,6 @@ import (
 	"time"
 
 	"mcbench"
-	"mcbench/internal/badco"
 	"mcbench/internal/bench"
 	"mcbench/internal/buildinfo"
 	"mcbench/internal/cache"
@@ -329,40 +328,32 @@ func simulate(ctx context.Context, cfg experiments.Config, args []string) error 
 	if len(args) != 2 {
 		return fmt.Errorf("%s", simUsage)
 	}
-	policy := cache.PolicyName(args[0])
-	if _, err := cache.NewPolicy(policy, 0); err != nil {
+	spec := multicore.Spec{Policy: cache.PolicyName(args[0]), Quota: *quota, Warmup: *warmup}
+	if *sample != "" {
+		var err error
+		if spec.Sampling, err = parseSampleSpec(*sample); err != nil {
+			return err
+		}
+	}
+	spec = spec.Resolved(cfg.TraceLen)
+	if err := spec.Validate(); err != nil {
 		return err
-	}
-	q := *quota
-	if q == 0 {
-		q = uint64(cfg.TraceLen)
-	}
-	if *warmup > q {
-		return fmt.Errorf("warmup %d exceeds the instruction quota %d (use -quota to lengthen the measurement window)", *warmup, q)
 	}
 	src := cfg.Source
 	names := strings.Split(args[1], ",")
-	distinct, err := bench.CheckNames(src, [][]string{names})
-	if err != nil {
+	if _, err := bench.CheckNames(src, [][]string{names}); err != nil {
 		return fmt.Errorf("%w (run `mcbench benches`)", err)
 	}
 	w := multicore.Workload(names)
 	prov := bench.At(src, cfg.TraceLen)
 
-	if *sample != "" {
-		spec, err := parseSampleSpec(*sample)
-		if err != nil {
-			return err
-		}
-		if *warmup > 0 {
-			return fmt.Errorf("-warmup and -sample are mutually exclusive (the sample spec's warmup field plays that role per window)")
-		}
-		r, err := multicore.DetailedSampled(ctx, w, prov, policy, spec, *quota)
+	if spec.Sampling.Enabled() {
+		r, err := multicore.Run(ctx, w, spec, prov, nil)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("workload %s under %s (sampled %s, %d windows of %d µops)\n",
-			w, policy, spec, r.Windows, spec.Window)
+			w, spec.Policy, spec.Sampling, r.Windows, spec.Sampling.Window)
 		fmt.Printf("%-12s  %10s  %10s  %8s\n", "thread", "IPC(est)", "±95% CI", "cv")
 		for i, n := range names {
 			fmt.Printf("%-12s  %10.4f  %10.4f  %8.3f\n", n, r.IPC[i], r.CIHalf[i], r.CV[i])
@@ -370,23 +361,20 @@ func simulate(ctx context.Context, cfg experiments.Config, args []string) error 
 		return nil
 	}
 
-	det, err := multicore.DetailedWithWarmup(ctx, w, prov, policy, *warmup, *quota)
+	det, err := multicore.Run(ctx, w, spec, prov, nil)
 	if err != nil {
 		return err
 	}
-	models, err := multicore.BuildModels(ctx, prov, distinct, badco.DefaultBuildConfig())
+	spec.Engine = multicore.BADCO
+	app, err := multicore.Run(ctx, w, spec, prov, nil)
 	if err != nil {
 		return err
 	}
-	app, err := multicore.ApproximateWithWarmup(ctx, w, models, policy, *warmup, *quota)
-	if err != nil {
-		return err
+	window := fmt.Sprintf("%d µops/thread", spec.Quota)
+	if spec.Warmup > 0 {
+		window += fmt.Sprintf(" after %d warmup", spec.Warmup)
 	}
-	window := fmt.Sprintf("%d µops/thread", q)
-	if *warmup > 0 {
-		window += fmt.Sprintf(" after %d warmup", *warmup)
-	}
-	fmt.Printf("workload %s under %s (%s)\n", w, policy, window)
+	fmt.Printf("workload %s under %s (%s)\n", w, spec.Policy, window)
 	fmt.Printf("%-12s  %10s  %10s\n", "thread", "detailed", "BADCO")
 	for i, n := range names {
 		fmt.Printf("%-12s  %10.4f  %10.4f\n", n, det.IPC[i], app.IPC[i])
@@ -421,6 +409,17 @@ func listBenches(w io.Writer, src bench.Source) {
 	}
 }
 
+// commands are the catalogue's entries beyond the registered
+// experiments.
+var commands = [][2]string{
+	{"sim", "simulate one workload: mcbench sim [-warmup N] [-sample U:D:W] <policy> <bench,bench,...>"},
+	{"benches", "list the active -suite source's benchmarks"},
+	{"serve", "run the experiment service: mcbench serve [-addr HOST:PORT]"},
+	{"top", "live telemetry view of a server: mcbench top [-addr URL] [-interval D]"},
+	{"version", "print the build identity"},
+	{"list", "this catalogue"},
+}
+
 // listExperiments prints the registry catalogue, grouped.
 func listExperiments(w io.Writer) {
 	fmt.Fprintln(w, "experiments (paper):")
@@ -429,12 +428,7 @@ func listExperiments(w io.Writer) {
 	printGroup(w, experiments.GroupExtension)
 	fmt.Fprintln(w, "\ncommands:")
 	printEntry(w, "all", "every paper experiment above, in order")
-	printEntry(w, "sim", "simulate one workload: mcbench sim [-warmup N] [-sample U:D:W] <policy> <bench,bench,...>")
-	printEntry(w, "benches", "list the active -suite source's benchmarks")
-	printEntry(w, "serve", "run the experiment service: mcbench serve [-addr HOST:PORT]")
-	printEntry(w, "top", "live telemetry view of a server: mcbench top [-addr URL] [-interval D]")
-	printEntry(w, "version", "print the build identity")
-	printEntry(w, "list", "this catalogue")
+	printCommands(w)
 }
 
 func printGroup(w io.Writer, g experiments.Group) {
@@ -443,10 +437,24 @@ func printGroup(w io.Writer, g experiments.Group) {
 	}
 }
 
+func printCommands(w io.Writer) {
+	for _, c := range commands {
+		printEntry(w, c[0], c[1])
+	}
+}
+
 // printEntry is the one place the catalogue's column layout lives, so
-// `mcbench list` and the usage text cannot drift apart.
+// `mcbench list` and the usage text cannot drift apart. The name column
+// fits the longest registered or command name plus two spaces.
 func printEntry(w io.Writer, name, synopsis string) {
-	fmt.Fprintf(w, "  %-18s%s\n", name, synopsis)
+	width := 0
+	for _, n := range experiments.Names() {
+		width = max(width, len(n))
+	}
+	for _, c := range commands {
+		width = max(width, len(c[0]))
+	}
+	fmt.Fprintf(w, "  %-*s%s\n", width+2, name, synopsis)
 }
 
 // usage is generated from the registry, so a newly registered experiment
@@ -460,11 +468,7 @@ experiments:
 	printEntry(os.Stderr, "all", "everything above")
 	fmt.Fprint(os.Stderr, "\nextensions (beyond the paper):\n")
 	printGroup(os.Stderr, experiments.GroupExtension)
-	printEntry(os.Stderr, "sim", "simulate one workload: mcbench sim [-warmup N] [-sample U:D:W] <policy> <bench,bench,...>")
-	printEntry(os.Stderr, "benches", "list the active -suite source's benchmarks")
-	printEntry(os.Stderr, "serve", "run the experiment service: mcbench serve [-addr HOST:PORT]")
-	printEntry(os.Stderr, "top", "live telemetry view of a server: mcbench top [-addr URL] [-interval D]")
-	printEntry(os.Stderr, "version", "print the build identity")
+	printCommands(os.Stderr)
 	fmt.Fprint(os.Stderr, `
 commands: list enumerates the catalogue with one line per experiment
 flags: -suite selects the benchmark source (suite | scaled:B[:seed] | dir:PATH)

@@ -91,7 +91,7 @@ type Config struct {
 	// begins. The detailed population sweeps then share the warmed
 	// prefix across the case-study policies: each workload is warmed
 	// once, snapshotted, and every policy's measurement fans out from
-	// the restored state (multicore.DetailedWarmup / DetailedFrom), so
+	// the restored state (multicore.SweepPoliciesDetailed), so
 	// a k-policy sweep pays the warmup once instead of k times. Warmed
 	// tables persist under distinct cache keys. The default 0 measures
 	// from reset and keeps every result — and every persisted cache
@@ -99,7 +99,7 @@ type Config struct {
 	Warmup int
 
 	// Sampling, when enabled, runs every detailed-simulator sweep under
-	// SMARTS-style systematic sampling (multicore.DetailedSampled)
+	// SMARTS-style systematic sampling (multicore.Spec.Sampling)
 	// instead of exactly: per spec.Unit µops one window of spec.Window
 	// µops is measured in detail after spec.Warmup detailed warmup µops,
 	// with the gap fast-forwarded under functional warming. The
@@ -563,27 +563,12 @@ func (l *Lab) BadcoIPC(ctx context.Context, cores int, policy cache.PolicyName) 
 			for i, w := range pop.Workloads {
 				ws[i] = l.toMulticore(w)
 			}
-			var results []multicore.Result
-			if warm := uint64(l.cfg.Warmup); warm > 0 {
-				// Warmed protocol: each workload runs warm µops per core
-				// before its measurement window (BADCO is cheap enough
-				// that sharing the prefix across policies buys nothing).
-				results = make([]multicore.Result, len(ws))
-				errs := make([]error, len(ws))
-				if err := multicore.RunBounded(ctx, len(ws), func(i int) {
-					results[i], errs[i] = multicore.ApproximateWithWarmup(ctx, ws[i], models, policy, warm, 0)
-				}); err != nil {
-					return nil, err
-				}
-				if err := errors.Join(errs...); err != nil {
-					return nil, fmt.Errorf("experiments: BADCO sweep (%d cores, %s): %w", cores, policy, err)
-				}
-			} else {
-				var err error
-				results, err = multicore.SweepApproximate(ctx, ws, models, policy, 0)
-				if err != nil {
-					return nil, fmt.Errorf("experiments: BADCO sweep (%d cores, %s): %w", cores, policy, err)
-				}
+			// BADCO is cheap enough that sharing a warmed prefix across
+			// policies buys nothing: each workload warms on its own.
+			spec := multicore.Spec{Engine: multicore.BADCO, Policy: policy, Warmup: uint64(l.cfg.Warmup)}
+			results, err := multicore.Sweep(ctx, ws, spec, l.Provider(), models)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: BADCO sweep (%d cores, %s): %w", cores, policy, err)
 			}
 			table := make([][]float64, len(results))
 			for i, r := range results {
@@ -665,17 +650,9 @@ func (l *Lab) DetailedIPC(ctx context.Context, cores int, policy cache.PolicyNam
 // detailedSampledSweep computes one sampled detailed IPC table plus its
 // confidence and cv columns (see Config.Sampling).
 func (l *Lab) detailedSampledSweep(ctx context.Context, cores int, policy cache.PolicyName) (table, ci, cv [][]float64, err error) {
-	if l.cfg.Warmup > 0 {
-		return nil, nil, nil, fmt.Errorf("experiments: sampling and warmup are mutually exclusive (the sampled driver owns its warmup structure)")
-	}
+	spec := multicore.Spec{Policy: policy, Warmup: uint64(l.cfg.Warmup), Sampling: l.cfg.Sampling}
 	l.detSweeps.Add(1)
-	pop := l.Population(cores)
-	sample := l.DetSample(cores)
-	ws := make([]multicore.Workload, len(sample))
-	for i, wi := range sample {
-		ws[i] = l.toMulticore(pop.Workloads[wi])
-	}
-	results, err := multicore.SweepDetailedSampled(ctx, ws, l.Provider(), policy, l.cfg.Sampling, 0)
+	results, err := multicore.Sweep(ctx, l.detWorkloads(cores), spec, l.Provider(), nil)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("experiments: sampled detailed sweep (%d cores, %s, %s): %w", cores, policy, l.cfg.Sampling, err)
 	}
@@ -690,23 +667,27 @@ func (l *Lab) detailedSampledSweep(ctx context.Context, cores int, policy cache.
 	return table, ci, cv, nil
 }
 
+// detWorkloads names the DetSample workloads for the core count.
+func (l *Lab) detWorkloads(cores int) []multicore.Workload {
+	pop := l.Population(cores)
+	sample := l.DetSample(cores)
+	ws := make([]multicore.Workload, len(sample))
+	for i, wi := range sample {
+		ws[i] = l.toMulticore(pop.Workloads[wi])
+	}
+	return ws
+}
+
 // detailedSweep computes one detailed IPC table. With a zero warmup it
 // is the plain population sweep. With a positive warmup, a case-study
 // policy is served from the grouped shared-warmup sweep (all policies at
 // once, one warmed prefix per workload); any other policy warms alone.
 func (l *Lab) detailedSweep(ctx context.Context, cores int, policy cache.PolicyName) ([][]float64, error) {
-	warm := uint64(l.cfg.Warmup)
-	if warm == 0 {
+	if l.cfg.Warmup == 0 {
 		l.detSweeps.Add(1)
-		pop := l.Population(cores)
-		sample := l.DetSample(cores)
-		ws := make([]multicore.Workload, len(sample))
-		for i, wi := range sample {
-			ws[i] = l.toMulticore(pop.Workloads[wi])
-		}
 		// The sweep resolves traces lazily through the source: only
 		// benchmarks that actually appear in the sample are ever built.
-		results, err := multicore.SweepDetailed(ctx, ws, l.Provider(), policy, 0)
+		results, err := multicore.Sweep(ctx, l.detWorkloads(cores), multicore.Spec{Policy: policy}, l.Provider(), nil)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: detailed sweep (%d cores, %s): %w", cores, policy, err)
 		}
@@ -736,40 +717,30 @@ func (l *Lab) detailedSweep(ctx context.Context, cores int, policy cache.PolicyN
 	return group[policy], nil
 }
 
-// detailedSharedSweep runs the detailed sample once per workload to the
-// warmup boundary and measures every requested policy from the shared
-// prefix. The whole group counts as one sweep: warmup dominates the cost
-// the per-policy tables used to pay k times over.
-//
-// The per-workload body must not call RunBounded (it already holds a
-// slot), so the policy fan-out is sequential within each workload; the
-// sample provides the parallelism, and peak memory holds one warmup
-// checkpoint per simulation slot rather than per workload.
+// detailedSharedSweep warms the detailed sample once per workload and
+// measures every requested policy from the shared prefix
+// (multicore.SweepPoliciesDetailed). The whole group counts as one
+// sweep: warmup dominates the cost the per-policy tables used to pay k
+// times over. Each workload's policies run in turn within its
+// simulation slot; the sample provides the parallelism, and peak memory
+// holds one warmup checkpoint per slot rather than per workload.
 func (l *Lab) detailedSharedSweep(ctx context.Context, cores int, pols []cache.PolicyName) (map[cache.PolicyName][][]float64, error) {
 	l.detSweeps.Add(1)
-	pop := l.Population(cores)
-	sample := l.DetSample(cores)
-	prov := l.Provider()
-	warm := uint64(l.cfg.Warmup)
+	ws := l.detWorkloads(cores)
+	spec := multicore.Spec{Warmup: uint64(l.cfg.Warmup)}
 	tables := make(map[cache.PolicyName][][]float64, len(pols))
 	for _, p := range pols {
-		tables[p] = make([][]float64, len(sample))
+		tables[p] = make([][]float64, len(ws))
 	}
-	errs := make([]error, len(sample))
-	if err := multicore.RunBounded(ctx, len(sample), func(i int) {
-		w := l.toMulticore(pop.Workloads[sample[i]])
-		cp, err := multicore.DetailedWarmup(ctx, w, prov, pols[0], warm)
+	errs := make([]error, len(ws))
+	if err := multicore.RunBounded(ctx, len(ws), func(i int) {
+		rs, err := multicore.SweepPoliciesDetailed(ctx, ws[i], spec, pols, l.Provider())
 		if err != nil {
 			errs[i] = err
 			return
 		}
-		for _, p := range pols {
-			r, err := multicore.DetailedFrom(ctx, cp, prov, p, 0)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			tables[p][i] = r.IPC
+		for j, p := range pols {
+			tables[p][i] = rs[j].IPC
 		}
 	}); err != nil {
 		return nil, err

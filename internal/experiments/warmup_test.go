@@ -38,9 +38,9 @@ func TestDetailedIPCSharedWarmup(t *testing.T) {
 	}
 	for i, wi := range sample {
 		w := l.toMulticore(pop.Workloads[wi])
-		cp := must(multicore.DetailedWarmup(tctx, w, prov, pols[0], warm))
-		for _, p := range pols {
-			want[p][i] = must(multicore.DetailedFrom(tctx, cp, prov, p, 0)).IPC
+		rs := must(multicore.SweepPoliciesDetailed(tctx, w, multicore.Spec{Warmup: warm}, pols, prov))
+		for j, p := range pols {
+			want[p][i] = rs[j].IPC
 		}
 	}
 
@@ -67,7 +67,7 @@ func TestDetailedIPCSharedWarmup(t *testing.T) {
 	// the lab protocol and live machines.
 	for i, wi := range sample {
 		w := l.toMulticore(pop.Workloads[wi])
-		direct := must(multicore.DetailedWithWarmup(tctx, w, prov, pols[0], warm, 0))
+		direct := must(multicore.Run(tctx, w, multicore.Spec{Policy: pols[0], Warmup: warm}, prov, nil))
 		row := must(l.DetailedIPC(tctx, 2, pols[0]))[i]
 		for k := range row {
 			if math.Float64bits(row[k]) != math.Float64bits(direct.IPC[k]) {
@@ -90,7 +90,7 @@ func TestBadcoIPCWarmup(t *testing.T) {
 		t.Fatalf("%d rows, want %d", len(got), pop.Size())
 	}
 	for i, w := range pop.Workloads {
-		want := must(multicore.ApproximateWithWarmup(tctx, l.toMulticore(w), models, cache.DRRIP, warm, 0))
+		want := must(multicore.Run(tctx, l.toMulticore(w), multicore.Spec{Engine: multicore.BADCO, Policy: cache.DRRIP, Warmup: warm}, nil, models))
 		for k := range got[i] {
 			if math.Float64bits(got[i][k]) != math.Float64bits(want.IPC[k]) {
 				t.Errorf("workload %d core %d: IPC %v, want %v", i, k, got[i][k], want.IPC[k])

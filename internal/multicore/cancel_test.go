@@ -24,7 +24,7 @@ func TestDetailedCancelMidRun(t *testing.T) {
 		start := time.Now()
 		// A quota far beyond the trace length: uncancelled this would
 		// re-run the trace thousands of times.
-		_, err := Detailed(ctx, w, trs, cache.LRU, uint64(testLen)*5000)
+		_, err := detailed(ctx, w, trs, cache.LRU, uint64(testLen)*5000)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%v: error = %v, want context.Canceled", w, err)
 		}

@@ -21,7 +21,7 @@ func TestGoldenCheckpointResumeDetailed(t *testing.T) {
 	ctx := context.Background()
 	w := Workload{"mcf", "soplex"}
 	const quota = 8000
-	uninterrupted, err := Detailed(ctx, w, trs, cache.DRRIP, quota)
+	uninterrupted, err := detailed(ctx, w, trs, cache.DRRIP, quota)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestGoldenCheckpointResumeDetailed(t *testing.T) {
 	for trial := 0; trial < 3; trial++ {
 		every := uint64(400 + rng.Intn(2000))
 		var cps []*Checkpoint
-		run, err := DetailedCheckpointed(ctx, w, trs, cache.DRRIP, quota, every, func(cp *Checkpoint) error {
+		run, err := Checkpointed(ctx, w, Spec{Policy: cache.DRRIP, Quota: quota}, trs, nil, every, func(cp *Checkpoint) error {
 			cps = append(cps, cp)
 			return nil
 		})
@@ -41,7 +41,7 @@ func TestGoldenCheckpointResumeDetailed(t *testing.T) {
 			t.Fatalf("no checkpoints captured at interval %d", every)
 		}
 		cp := cps[rng.Intn(len(cps))]
-		resumed, err := DetailedResume(ctx, cp, trs)
+		resumed, err := Resume(ctx, cp, trs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,18 +50,18 @@ func TestGoldenCheckpointResumeDetailed(t *testing.T) {
 }
 
 // TestGoldenCheckpointResumeSingleCore pins the solo fast path of the
-// continuation driver, including periodic capture.
+// scheduling loop, including periodic capture.
 func TestGoldenCheckpointResumeSingleCore(t *testing.T) {
 	trs := traces(t)
 	ctx := context.Background()
 	w := Workload{"hmmer"}
 	const quota = 6000
-	uninterrupted, err := Detailed(ctx, w, trs, cache.LRU, quota)
+	uninterrupted, err := detailed(ctx, w, trs, cache.LRU, quota)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var cps []*Checkpoint
-	run, err := DetailedCheckpointed(ctx, w, trs, cache.LRU, quota, 700, func(cp *Checkpoint) error {
+	run, err := Checkpointed(ctx, w, Spec{Policy: cache.LRU, Quota: quota}, trs, nil, 700, func(cp *Checkpoint) error {
 		cps = append(cps, cp)
 		return nil
 	})
@@ -73,7 +73,7 @@ func TestGoldenCheckpointResumeSingleCore(t *testing.T) {
 		t.Fatal("no checkpoints captured")
 	}
 	for _, cp := range []*Checkpoint{cps[0], cps[len(cps)-1]} {
-		resumed, err := DetailedResume(ctx, cp, trs)
+		resumed, err := Resume(ctx, cp, trs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,8 +82,8 @@ func TestGoldenCheckpointResumeSingleCore(t *testing.T) {
 }
 
 // TestGoldenCheckpointRestoreModes restores one checkpoint three ways —
-// into fresh machines continued by the batched driver, into fresh
-// machines continued by the retained per-step reference stepper, and
+// into fresh machines continued by the batched loop, into fresh
+// machines continued by the per-step reference oracle, and
 // over machines dirtied by unrelated progress — and demands the same
 // bits from all of them.
 func TestGoldenCheckpointRestoreModes(t *testing.T) {
@@ -91,12 +91,12 @@ func TestGoldenCheckpointRestoreModes(t *testing.T) {
 	ctx := context.Background()
 	w := Workload{"mcf", "povray"}
 	const quota = 8000
-	uninterrupted, err := Detailed(ctx, w, trs, cache.LRU, quota)
+	uninterrupted, err := detailed(ctx, w, trs, cache.LRU, quota)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var cps []*Checkpoint
-	if _, err := DetailedCheckpointed(ctx, w, trs, cache.LRU, quota, 1500, func(cp *Checkpoint) error {
+	if _, err := Checkpointed(ctx, w, Spec{Policy: cache.LRU, Quota: quota}, trs, nil, 1500, func(cp *Checkpoint) error {
 		cps = append(cps, cp)
 		return nil
 	}); err != nil {
@@ -107,8 +107,8 @@ func TestGoldenCheckpointRestoreModes(t *testing.T) {
 	}
 	cp := cps[len(cps)/2]
 
-	// Fresh machines, batched continuation (the DetailedResume path).
-	fresh, err := DetailedResume(ctx, cp, trs)
+	// Fresh machines, batched continuation (the Resume path).
+	fresh, err := Resume(ctx, cp, trs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,33 +128,29 @@ func TestGoldenCheckpointRestoreModes(t *testing.T) {
 		}
 		return assemble(cp.Workload, cp.Policy, quotaCycle, cp.Quota)
 	}
-	_, refCores, err := restoreDetailed(ctx, cp, trs, cp.Policy)
+	ref, err := restore(ctx, cp, cp.Policy, trs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertBitIdentical(t, "reference-stepper restore", continueFrom(asSteppers(refCores)), uninterrupted)
+	assertBitIdentical(t, "reference-stepper restore", continueFrom(ref.cores), uninterrupted)
 
 	// Dirty machines: advance an identically built machine set to an
 	// unrelated point, then restore the checkpoint over it.
-	unc, cores, _, err := buildDetailed(ctx, w, trs, cache.LRU, quota)
-	if err != nil {
+	m, _ := mustBuild(t, w, Spec{Policy: cache.LRU, Quota: quota}, trs, nil)
+	if err := m.warm(ctx, 1234); err != nil {
 		t.Fatal(err)
 	}
-	steppers := asSteppers(cores)
-	if err := runToBoundary(ctx, steppers, 1234); err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range cores {
+	for i, c := range m.cpus {
 		c.Restore(&cp.CPU[i])
 	}
-	unc.Restore(&cp.Uncore)
-	targets := make([]uint64, len(cores))
+	m.unc.Restore(&cp.Uncore)
+	targets := make([]uint64, len(m.cores))
 	for i := range targets {
 		targets[i] = cp.Quota
 	}
 	reached := append([]bool(nil), cp.Reached...)
 	quotaCycle := append([]uint64(nil), cp.QuotaCycle...)
-	if err := runInterleavedFrom(ctx, steppers, targets, reached, quotaCycle, 0, nil); err != nil {
+	if err := schedule(ctx, m.cores, targets, never, reached, quotaCycle, nil); err != nil {
 		t.Fatal(err)
 	}
 	assertBitIdentical(t, "dirty restore", assemble(cp.Workload, cp.Policy, quotaCycle, cp.Quota), uninterrupted)
@@ -169,15 +165,12 @@ func TestGoldenWarmupSnapshotRestore(t *testing.T) {
 	w := Workload{"soplex", "hmmer"}
 	const warmup, quota = 3000, 5000
 	for _, pol := range []cache.PolicyName{cache.LRU, cache.DRRIP, cache.Random, cache.DIP} {
-		direct, err := DetailedWithWarmup(ctx, w, trs, pol, warmup, quota)
+		spec := Spec{Engine: Detailed, Policy: pol, Quota: quota, Warmup: warmup}
+		direct, err := Run(ctx, w, spec, trs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cp, err := DetailedWarmup(ctx, w, trs, pol, warmup)
-		if err != nil {
-			t.Fatal(err)
-		}
-		restored, err := DetailedFrom(ctx, cp, trs, pol, quota)
+		restored, err := measureFrom(ctx, warmCheckpoint(t, w, spec, trs, nil), spec, trs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,15 +178,12 @@ func TestGoldenWarmupSnapshotRestore(t *testing.T) {
 	}
 
 	mods := models(t)
-	direct, err := ApproximateWithWarmup(ctx, w, mods, cache.DRRIP, warmup, quota)
+	spec := Spec{Engine: BADCO, Policy: cache.DRRIP, Quota: quota, Warmup: warmup}
+	direct, err := Run(ctx, w, spec, nil, mods)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := ApproximateWarmup(ctx, w, mods, cache.DRRIP, warmup)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := ApproximateFrom(ctx, cp, mods, cache.DRRIP, quota)
+	restored, err := measureFrom(ctx, warmCheckpoint(t, w, spec, nil, mods), spec, nil, mods)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,33 +199,31 @@ func TestGoldenWarmupMatchesReferenceSchedule(t *testing.T) {
 	w := Workload{"mcf", "gcc"}
 	const warmup, quota = 2500, 4000
 
-	batched, err := DetailedWithWarmup(ctx, w, trs, cache.LRU, warmup, quota)
+	spec := Spec{Engine: Detailed, Policy: cache.LRU, Quota: quota, Warmup: warmup}
+	batched, err := Run(ctx, w, spec, trs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	_, cores, _, err := buildDetailed(ctx, w, trs, cache.LRU, quota)
-	if err != nil {
+	m, _ := mustBuild(t, w, spec, trs, nil)
+	if err := runToBoundaryReference(ctx, m.cores, warmup); err != nil {
 		t.Fatal(err)
 	}
-	steppers := asSteppers(cores)
-	if err := runToBoundaryReference(ctx, steppers, warmup); err != nil {
+	n := len(m.cores)
+	targets := make([]uint64, n)
+	start := make([]uint64, n)
+	for i, c := range m.cores {
+		targets[i] = c.Committed() + quota
+		start[i] = c.Now()
+	}
+	reached := make([]bool, n)
+	quotaCycle := make([]uint64, n)
+	if err := runInterleavedFromReference(ctx, m.cores, targets, reached, quotaCycle); err != nil {
 		t.Fatal(err)
 	}
-	cp := &Checkpoint{}
-	cp.captureShared(w, cache.LRU, 0, steppers, nil, nil)
-	targets := make([]uint64, len(steppers))
-	for i := range targets {
-		targets[i] = cp.Committed[i] + quota
-	}
-	reached := make([]bool, len(steppers))
-	quotaCycle := make([]uint64, len(steppers))
-	if err := runInterleavedFromReference(ctx, steppers, targets, reached, quotaCycle); err != nil {
-		t.Fatal(err)
-	}
-	cycles := make([]uint64, len(steppers))
+	cycles := make([]uint64, n)
 	for i := range cycles {
-		cycles[i] = quotaCycle[i] - cp.Clocks[i]
+		cycles[i] = quotaCycle[i] - start[i]
 	}
 	assertBitIdentical(t, "two-stage reference", batched, assemble(w, cache.LRU, cycles, quota))
 }
@@ -252,39 +240,33 @@ func TestGoldenSharedWarmupPolicySweep(t *testing.T) {
 	const warmup, quota = 3000, 4000
 	policies := cache.PaperPolicies()
 
-	swept, err := SweepPoliciesDetailed(ctx, w, trs, policies, warmup, quota)
+	swept, err := SweepPoliciesDetailed(ctx, w, Spec{Quota: quota, Warmup: warmup}, policies, trs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, pol := range policies {
-		unc, cores, _, err := buildDetailed(ctx, w, trs, policies[0], quota)
-		if err != nil {
+		m, _ := mustBuild(t, w, Spec{Policy: policies[0], Quota: quota}, trs, nil)
+		if err := m.warm(ctx, warmup); err != nil {
 			t.Fatal(err)
 		}
-		steppers := asSteppers(cores)
-		if err := runToBoundary(ctx, steppers, warmup); err != nil {
-			t.Fatal(err)
-		}
-		cp := &Checkpoint{}
-		cp.captureShared(w, pol, 0, steppers, nil, nil)
 		if pol != policies[0] {
-			if err := unc.SetPolicy(pol, unc.Config().PolicySeed); err != nil {
+			if err := m.unc.SetPolicy(pol, m.unc.Config().PolicySeed); err != nil {
 				t.Fatal(err)
 			}
 		}
-		ref, err := measureFrom(ctx, cp, steppers, pol, quota)
+		ref, err := m.measure(ctx, w, pol, quota, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertBitIdentical(t, "shared sweep "+string(pol), swept[i], ref)
 	}
 
-	swept0, err := SweepPoliciesDetailed(ctx, w, trs, policies[:2], 0, quota)
+	swept0, err := SweepPoliciesDetailed(ctx, w, Spec{Quota: quota}, policies[:2], trs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, pol := range policies[:2] {
-		plain, err := Detailed(ctx, w, trs, pol, quota)
+		plain, err := detailed(ctx, w, trs, pol, quota)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,7 +11,7 @@ import (
 // The golden determinism tests prove the batched driver's central claim:
 // dispatching the minimum-clock core in batches (StepUntil up to the
 // runner-up's clock) produces the exact schedule of the per-step
-// reference driver, so every simulation result is bit-identical.
+// reference oracle, so every simulation result is bit-identical.
 
 // assertBitIdentical fails unless the two results match bit for bit.
 func assertBitIdentical(t *testing.T, name string, batched, reference Result) {
@@ -41,14 +41,11 @@ func TestGoldenDetailedMatchesReference(t *testing.T) {
 		{"mcf", "povray"},
 		{"mcf", "soplex", "gcc", "libquantum"},
 	} {
-		batched, err := Detailed(context.Background(), w, trs, cache.LRU, 0)
+		batched, err := detailed(context.Background(), w, trs, cache.LRU, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		reference, err := detailedWith(context.Background(), w, trs, cache.LRU, 0, runInterleavedReference)
-		if err != nil {
-			t.Fatal(err)
-		}
+		reference := referenceRun(t, w, Spec{Engine: Detailed, Policy: cache.LRU}, trs, nil)
 		assertBitIdentical(t, "detailed "+w.String(), batched, reference)
 	}
 }
@@ -59,14 +56,11 @@ func TestGoldenApproximateMatchesReference(t *testing.T) {
 		{"mcf", "povray"},
 		{"mcf", "soplex", "gcc", "libquantum"},
 	} {
-		batched, err := Approximate(context.Background(), w, mods, cache.LRU, 0)
+		batched, err := approximate(context.Background(), w, mods, cache.LRU, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		reference, err := approximateWith(context.Background(), w, mods, cache.LRU, 0, runInterleavedReference)
-		if err != nil {
-			t.Fatal(err)
-		}
+		reference := referenceRun(t, w, Spec{Engine: BADCO, Policy: cache.LRU}, nil, mods)
 		assertBitIdentical(t, "approximate "+w.String(), batched, reference)
 	}
 }
@@ -78,29 +72,23 @@ func TestGoldenAcrossPolicies(t *testing.T) {
 	trs := traces(t)
 	for _, pol := range []cache.PolicyName{cache.DRRIP, cache.Random} {
 		w := Workload{"soplex", "hmmer"}
-		batched, err := Detailed(context.Background(), w, trs, pol, 7500)
+		batched, err := detailed(context.Background(), w, trs, pol, 7500)
 		if err != nil {
 			t.Fatal(err)
 		}
-		reference, err := detailedWith(context.Background(), w, trs, pol, 7500, runInterleavedReference)
-		if err != nil {
-			t.Fatal(err)
-		}
+		reference := referenceRun(t, w, Spec{Engine: Detailed, Policy: pol, Quota: 7500}, trs, nil)
 		assertBitIdentical(t, "detailed "+string(pol), batched, reference)
 	}
 }
 
-// TestGoldenSingleCore pins the n==1 fast path of the batched driver to
-// the reference schedule.
+// TestGoldenSingleCore pins the solo path of the batched loop to the
+// reference schedule.
 func TestGoldenSingleCore(t *testing.T) {
 	trs := traces(t)
-	batched, err := Detailed(context.Background(), Workload{"hmmer"}, trs, cache.LRU, 5000)
+	batched, err := detailed(context.Background(), Workload{"hmmer"}, trs, cache.LRU, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reference, err := detailedWith(context.Background(), Workload{"hmmer"}, trs, cache.LRU, 5000, runInterleavedReference)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reference := referenceRun(t, Workload{"hmmer"}, Spec{Engine: Detailed, Policy: cache.LRU, Quota: 5000}, trs, nil)
 	assertBitIdentical(t, "detailed single-core", batched, reference)
 }

@@ -2,11 +2,32 @@
 // (one benchmark each) on K cores sharing one uncore, using either the
 // detailed core model (package cpu) or BADCO machines (package badco).
 //
+// A run is described once, by a Spec (engine, LLC policy, quota, warmup,
+// sampling), and dispatched once, by Run or Sweep. Every layer above
+// builds a Spec and calls them.
+//
 // Scheduling follows the paper's setup: cores interleave on a
 // smallest-local-clock-first discipline (approximating the round-robin
 // uncore arbitration), each thread that finishes its instruction quota is
 // restarted until every thread has executed at least the quota, and IPC
 // is measured on each thread's first quota of instructions.
+//
+// One loop, schedule, implements that discipline for every kind of run.
+// Each core advances until it has committed its target µops, and the loop
+// records the core's local clock at that crossing. A core that has
+// crossed keeps running until it has committed cap µops, then leaves the
+// pick set. The loop ends once every core has crossed its target:
+//
+//   - cap = never is the exact run: finished threads keep contending for
+//     the uncore until the slowest one crosses;
+//   - cap = target is the warmup: each core halts at the boundary, so a
+//     snapshot finds every thread there;
+//   - target < cap is a sampled window: a core that crosses runs on,
+//     timed, into its next gap and halts before the next warmup region.
+//
+// Targets are per core, and crossing flags can be carried in, so a
+// restored or resumed run continues exactly where its snapshot left off;
+// an optional hook captures the whole machine every so many cycles.
 package multicore
 
 import (
@@ -40,9 +61,9 @@ const (
 // TraceSource resolves benchmark names to traces at the simulation
 // boundary. It is satisfied by bench.Provider (a bench.Source bound to a
 // trace length) and by TraceMap; implementations must be safe for
-// concurrent use. The drivers below resolve whole workloads up front and
-// then run on bare *trace.Trace values, so the allocation-free kernel
-// hot paths never see the indirection.
+// concurrent use. Runs resolve whole workloads up front and then
+// simulate bare *trace.Trace values, so the allocation-free kernel hot
+// paths never see the indirection.
 type TraceSource interface {
 	// Trace returns the named benchmark's trace, building or loading it
 	// on first use.
@@ -85,7 +106,73 @@ func (w Workload) String() string {
 	return s
 }
 
-// Result is the outcome of simulating one workload under one policy.
+// Engine selects the core model a run simulates.
+type Engine int
+
+const (
+	// Detailed is the cycle-level out-of-order core (package cpu).
+	Detailed Engine = iota
+	// BADCO is the behavioural approximate core (package badco).
+	BADCO
+)
+
+// Spec describes one simulation run.
+type Spec struct {
+	Engine Engine
+	Policy cache.PolicyName
+	// Quota is the per-thread count of measured µops. Zero means one
+	// trace length; Resolved fills it in.
+	Quota uint64
+	// Warmup, when positive, runs each thread that many committed µops
+	// before the measurement opens; IPC and cycles then cover only the
+	// Quota µops beyond it.
+	Warmup uint64
+	// Sampling, when enabled, measures the detailed engine under
+	// systematic sampling (see SamplingSpec) instead of exactly.
+	Sampling SamplingSpec
+}
+
+// Resolved returns the spec with a zero quota replaced by traceLen: one
+// trace length per thread is the default measurement.
+func (s Spec) Resolved(traceLen int) Spec {
+	if s.Quota == 0 {
+		s.Quota = uint64(traceLen)
+	}
+	return s
+}
+
+// Validate checks the spec: a known engine and policy, a consistent
+// sampling schedule, and the rules that tie the fields together — a
+// warmup no longer than the quota, sampling only on the detailed engine,
+// never together with a warmup, and with a unit no larger than the
+// quota. A zero quota is not resolved yet, so the quota rules wait:
+// Run validates again once the trace length is known.
+func (s Spec) Validate() error {
+	if s.Engine != Detailed && s.Engine != BADCO {
+		return fmt.Errorf("multicore: unknown engine %d", s.Engine)
+	}
+	if _, err := cache.NewPolicy(s.Policy, 0); err != nil {
+		return err
+	}
+	if err := s.Sampling.Validate(); err != nil {
+		return err
+	}
+	if s.Quota > 0 && s.Warmup > s.Quota {
+		return fmt.Errorf("multicore: warmup %d exceeds the instruction quota %d", s.Warmup, s.Quota)
+	}
+	switch {
+	case !s.Sampling.Enabled():
+	case s.Engine != Detailed:
+		return fmt.Errorf("multicore: sampling requires the detailed engine (BADCO is already fast; sample the slow simulator)")
+	case s.Warmup > 0:
+		return fmt.Errorf("multicore: sampling and warmup are mutually exclusive (the sampling spec's warmup warms each window)")
+	case s.Quota > 0 && s.Sampling.Unit > s.Quota:
+		return fmt.Errorf("multicore: sampling unit %d exceeds quota %d", s.Sampling.Unit, s.Quota)
+	}
+	return nil
+}
+
+// Result is the outcome of simulating one workload under one spec.
 type Result struct {
 	Workload Workload
 	Policy   cache.PolicyName
@@ -96,6 +183,28 @@ type Result struct {
 	Cycles []uint64
 	// Instructions is the per-thread quota.
 	Instructions uint64
+
+	// The fields below are filled in by sampled runs only. There IPC per
+	// core is the inverse of the mean per-window CPI — every window
+	// measures the same µop count, so the mean CPI is exactly total
+	// measured cycles over total measured µops, the unbiased ratio
+	// estimate (averaging per-window IPCs directly would be
+	// Jensen-biased upward). Instructions is the µops measured in detail
+	// per thread (windows × window length), Cycles the per-core detailed
+	// cycles spent measuring them.
+
+	// Windows is the number of measured windows per thread.
+	Windows int
+	// CIHalf is the per-core half-width of the SampledConfidence
+	// interval around IPC: the Student-t interval on the mean window
+	// CPI, mapped to the IPC scale by the delta method. Zero when only
+	// one window was measured.
+	CIHalf []float64
+	// CV is the per-core coefficient of variation of the per-window
+	// CPIs (the cv SMARTS-style sampling reports).
+	CV []float64
+	// Samples holds the raw per-window IPCs, indexed [core][window].
+	Samples [][]float64
 }
 
 // CPI returns the per-core cycles per instruction. A core with zero IPC
@@ -105,280 +214,6 @@ func (r Result) CPI(core int) float64 {
 		return math.Inf(1)
 	}
 	return 1 / r.IPC[core]
-}
-
-// stepper abstracts the two core models for the interleaving driver.
-type stepper interface {
-	Step() uint64
-	StepUntil(limit, quota uint64) uint64
-	Now() uint64
-	Committed() uint64
-}
-
-// driver advances a set of cores until each has committed quota µops and
-// returns the cycle at which each crossed it. A driver returns early with
-// ctx.Err() when the context is cancelled mid-simulation.
-type driver func(ctx context.Context, cores []stepper, quota uint64) ([]uint64, error)
-
-// never is a clock/quota bound that no simulation reaches.
-const never = ^uint64(0)
-
-// cancelCheckMask throttles context polling in the batch loop: the
-// cancellation check (a non-blocking channel receive) runs once every
-// cancelCheckMask+1 batches, keeping it off the per-batch fast path
-// while still bounding the reaction latency to microseconds.
-const cancelCheckMask = 1023
-
-// soloChunkCycles is the clock-batch size of single-core simulations:
-// with no other core to bound a batch, the driver runs the core in
-// fixed-size clock windows so cancellation stays responsive. StepUntil
-// is resumable, so chunking does not change results.
-const soloChunkCycles = 1 << 18
-
-// runInterleaved advances the cores on the smallest-local-clock-first
-// discipline until every core has committed at least quota instructions,
-// then returns each core's quota completion cycle.
-//
-// It produces the same schedule as the per-step reference driver
-// (runInterleavedReference) but dispatches whole batches: a core's local
-// clock never decreases and the other cores' clocks cannot change while
-// it runs, so the reference loop would keep re-picking the current
-// minimum-clock core until its clock reaches the runner-up's. StepUntil
-// runs that whole stretch as one tight monomorphic loop inside the core
-// model — one interface dispatch and one scheduling decision per batch
-// instead of per simulated µop. Between batches a single pass over the
-// cached clocks carries the pick and the runner-up through a 2-element
-// tournament, instead of a full rescan per µop.
-func runInterleaved(ctx context.Context, cores []stepper, quota uint64) ([]uint64, error) {
-	n := len(cores)
-	done := ctx.Done()
-	quotaCycle := make([]uint64, n)
-	if n == 1 {
-		// A single core is always the pick: run to the quota in clock
-		// chunks so cancellation can interrupt a long solo run.
-		c := cores[0]
-		for c.Committed() < quota {
-			if done != nil {
-				select {
-				case <-done:
-					return nil, ctx.Err()
-				default:
-				}
-			}
-			c.StepUntil(c.Now()+soloChunkCycles, quota)
-		}
-		quotaCycle[0] = c.Now()
-		return quotaCycle, nil
-	}
-	reached := make([]bool, n)
-	remaining := n
-	clocks := make([]uint64, n)
-	for i, c := range cores {
-		clocks[i] = c.Now()
-	}
-	for batch := 0; remaining > 0; batch++ {
-		if done != nil && batch&cancelCheckMask == 0 {
-			select {
-			case <-done:
-				return nil, ctx.Err()
-			default:
-			}
-		}
-		// One pass, ties to the lower index: m is the core the per-step
-		// driver would pick, o the runner-up it would pick next.
-		m, o := 0, -1
-		for i := 1; i < n; i++ {
-			switch {
-			case clocks[i] < clocks[m]:
-				m, o = i, m
-			case o < 0 || clocks[i] < clocks[o]:
-				o = i
-			}
-		}
-		// Core m keeps the pick while its clock is below the runner-up's
-		// — or equal to it, when m wins the lower-index tie-break.
-		limit := clocks[o]
-		if m < o {
-			limit++
-		}
-		// A core that has not crossed the quota stops its batch at the
-		// crossing so the crossing cycle is captured; afterwards it keeps
-		// running (restarted) until all cores reach the quota, as in the
-		// paper.
-		quotaCap := never
-		if !reached[m] {
-			quotaCap = quota
-		}
-		c := cores[m]
-		c.StepUntil(limit, quotaCap)
-		if !reached[m] && c.Committed() >= quota {
-			reached[m] = true
-			quotaCycle[m] = c.Now()
-			remaining--
-		}
-		clocks[m] = c.Now()
-	}
-	return quotaCycle, nil
-}
-
-// runInterleavedReference is the original per-step driver: pick the core
-// with the smallest local clock, step it one µop, repeat. It is retained
-// as the executable specification of the schedule; the golden
-// determinism test asserts the batched driver reproduces its results
-// bit-identically. It ignores the context (it only runs in tests).
-func runInterleavedReference(_ context.Context, cores []stepper, quota uint64) ([]uint64, error) {
-	n := len(cores)
-	quotaCycle := make([]uint64, n)
-	reached := make([]bool, n)
-	remaining := n
-	for remaining > 0 {
-		// Pick the unfinished-or-not core with the smallest local clock.
-		// Finished threads keep running (restarted) until all reach the
-		// quota, as in the paper, so they stay in the pick set.
-		min := 0
-		for i := 1; i < n; i++ {
-			if cores[i].Now() < cores[min].Now() {
-				min = i
-			}
-		}
-		c := cores[min]
-		c.Step()
-		if !reached[min] && c.Committed() >= quota {
-			reached[min] = true
-			quotaCycle[min] = c.Now()
-			remaining--
-		}
-	}
-	return quotaCycle, nil
-}
-
-// Detailed simulates the workload with the detailed core model under the
-// given LLC policy. quota is the per-thread instruction count (commonly
-// the trace length). Traces are resolved through the source at this
-// boundary — lazily built on first use — and are not released here: the
-// caller owns the retention policy. A cancelled context aborts the
-// simulation and returns ctx.Err().
-func Detailed(ctx context.Context, w Workload, traces TraceSource, policy cache.PolicyName, quota uint64) (Result, error) {
-	return detailedWith(ctx, w, traces, policy, quota, runInterleaved)
-}
-
-// detailedWith is Detailed with an explicit driver, so the golden test
-// can run the reference per-step driver through the identical
-// construction path.
-func detailedWith(ctx context.Context, w Workload, traces TraceSource, policy cache.PolicyName, quota uint64, drive driver) (Result, error) {
-	_, cores, quota, err := buildDetailed(ctx, w, traces, policy, quota)
-	if err != nil {
-		return Result{}, err
-	}
-	stop := telemetry.FromContext(ctx).Time(phaseMeasure)
-	cycles, err := drive(ctx, asSteppers(cores), quota)
-	stop()
-	if err != nil {
-		return Result{}, err
-	}
-	return assemble(w, policy, cycles, quota), nil
-}
-
-// buildDetailed constructs the shared uncore and one detailed core per
-// workload slot. A zero quota defaults to the first trace's length. It is
-// the single construction path for plain, warmup and restored detailed
-// simulations, so they cannot drift apart.
-func buildDetailed(ctx context.Context, w Workload, traces TraceSource, policy cache.PolicyName, quota uint64) (*uncore.Uncore, []*cpu.Core, uint64, error) {
-	if len(w) == 0 {
-		return nil, nil, 0, fmt.Errorf("multicore: empty workload")
-	}
-	unc, err := uncore.New(uncore.ConfigFor(len(w), policy))
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	cores := make([]*cpu.Core, len(w))
-	sp := telemetry.FromContext(ctx)
-	for i, name := range w {
-		stop := sp.Time(phaseTraceLoad)
-		tr, err := traces.Trace(ctx, name)
-		stop()
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		if quota == 0 {
-			quota = uint64(tr.Len())
-		}
-		core, err := cpu.New(i, cpu.DefaultConfig(), tr, unc)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		cores[i] = core
-	}
-	return unc, cores, quota, nil
-}
-
-func asSteppers[T stepper](cores []T) []stepper {
-	s := make([]stepper, len(cores))
-	for i, c := range cores {
-		s[i] = c
-	}
-	return s
-}
-
-// badcoStepper adapts a BADCO machine to the quota-based driver: the
-// machine commits in node-sized chunks, and its committed count is exact
-// at iteration boundaries, which is where quotas land (quota = trace
-// length).
-type badcoStepper struct{ *badco.Machine }
-
-// Approximate runs the workload with BADCO machines sharing a real
-// uncore. models maps benchmark name to its behavioural model; quota must
-// be a multiple of the model trace length (0 means one trace length). A
-// cancelled context aborts the simulation and returns ctx.Err().
-func Approximate(ctx context.Context, w Workload, models map[string]*badco.Model, policy cache.PolicyName, quota uint64) (Result, error) {
-	return approximateWith(ctx, w, models, policy, quota, runInterleaved)
-}
-
-// approximateWith is Approximate with an explicit driver (see
-// detailedWith).
-func approximateWith(ctx context.Context, w Workload, models map[string]*badco.Model, policy cache.PolicyName, quota uint64, drive driver) (Result, error) {
-	_, machines, quota, err := buildApproximate(w, models, policy, quota)
-	if err != nil {
-		return Result{}, err
-	}
-	cores := make([]stepper, len(machines))
-	for i, ma := range machines {
-		cores[i] = badcoStepper{ma}
-	}
-	stop := telemetry.FromContext(ctx).Time(phaseMeasure)
-	cycles, err := drive(ctx, cores, quota)
-	stop()
-	if err != nil {
-		return Result{}, err
-	}
-	return assemble(w, policy, cycles, quota), nil
-}
-
-// buildApproximate is buildDetailed's BADCO counterpart.
-func buildApproximate(w Workload, models map[string]*badco.Model, policy cache.PolicyName, quota uint64) (*uncore.Uncore, []*badco.Machine, uint64, error) {
-	if len(w) == 0 {
-		return nil, nil, 0, fmt.Errorf("multicore: empty workload")
-	}
-	unc, err := uncore.New(uncore.ConfigFor(len(w), policy))
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	machines := make([]*badco.Machine, len(w))
-	for i, name := range w {
-		m, ok := models[name]
-		if !ok {
-			return nil, nil, 0, fmt.Errorf("multicore: no model for benchmark %q", name)
-		}
-		if quota == 0 {
-			quota = uint64(m.TraceLen)
-		}
-		ma, err := badco.NewMachine(i, m, unc)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		machines[i] = ma
-	}
-	return unc, machines, quota, nil
 }
 
 func assemble(w Workload, policy cache.PolicyName, cycles []uint64, quota uint64) Result {
@@ -397,52 +232,369 @@ func assemble(w Workload, policy cache.PolicyName, cycles []uint64, quota uint64
 	return r
 }
 
-// SweepResult couples a workload index with its simulation result.
-type SweepResult struct {
-	Index  int
-	Result Result
+// ---------------------------------------------------------------------------
+// The scheduling loop
+
+// stepper is what the scheduling loop needs of a core model; *cpu.Core
+// and *badco.Machine both satisfy it.
+type stepper interface {
+	StepUntil(limit, quota uint64) uint64
+	Now() uint64
+	Committed() uint64
 }
 
-// SweepApproximate simulates many workloads with BADCO in parallel across
-// CPU cores (each workload simulation is independent and deterministic).
-// The returned slice is indexed like workloads. Cancelling the context
-// stops dispatching new workloads, interrupts the running ones, and
-// returns ctx.Err().
+// never is a clock/quota bound that no simulation reaches.
+const never = ^uint64(0)
+
+// cancelCheckMask throttles context polling in the batch loop: the
+// cancellation check (a non-blocking channel receive) runs once every
+// cancelCheckMask+1 batches, keeping it off the per-batch fast path
+// while still bounding the reaction latency to microseconds.
+const cancelCheckMask = 1023
+
+// soloChunkCycles is the clock-batch size of a core with no other core
+// left to bound its batch: it runs in fixed-size clock windows, and the
+// loop polls for cancellation after each, so a long solo run stays
+// interruptible. StepUntil is resumable, so chunking does not change
+// results.
+const soloChunkCycles = 1 << 18
+
+// captureHook asks schedule to call fn between batches whenever the
+// minimum local clock crosses a multiple of every cycles. fn sees the
+// loop's reached flags and crossing clocks as they stand.
+type captureHook struct {
+	every uint64
+	fn    func(reached []bool, cross []uint64) error
+}
+
+// schedule is the one scheduling loop (see the package comment for the
+// target/cap contract). It advances the cores on the
+// smallest-local-clock-first discipline until every core has committed
+// at least targets[i] µops, sets reached[i] and records the core's clock
+// in cross[i] at that crossing, and lets a core that has crossed run on
+// until it has committed cap µops. Every target must be at most cap.
+// reached and cross carry progress in and out: a core already marked
+// reached keeps its recorded crossing.
+//
+// It reproduces the schedule of stepping the minimum-clock core one µop
+// at a time, but dispatches whole batches: a core's local clock never
+// decreases and the other cores' clocks cannot change while it runs, so
+// the per-step loop would keep re-picking the current minimum-clock core
+// until its clock reaches the runner-up's. StepUntil runs that whole
+// stretch as one tight monomorphic loop inside the core model — one
+// interface dispatch and one scheduling decision per batch instead of
+// per simulated µop. Between batches a single pass over the cached
+// clocks carries the pick and the runner-up through a 2-element
+// tournament. Batch boundaries never change the simulated state, so the
+// hook only ever captures states the per-step schedule passes through.
+func schedule(ctx context.Context, cores []stepper, targets []uint64, cap uint64, reached []bool, cross []uint64, hook *captureHook) error {
+	n := len(cores)
+	done := ctx.Done()
+	// clocks caches each core's local clock; a core that has reached cap
+	// leaves the pick set by reading never.
+	clocks := make([]uint64, n)
+	remaining := 0
+	for i, c := range cores {
+		clocks[i] = c.Now()
+		if !reached[i] && c.Committed() >= targets[i] {
+			reached[i] = true
+			cross[i] = clocks[i]
+		}
+		if !reached[i] {
+			remaining++
+		}
+		if c.Committed() >= cap {
+			clocks[i] = never
+		}
+	}
+	var nextCap uint64
+	if hook != nil {
+		nextCap = (minClock(clocks)/hook.every + 1) * hook.every
+	}
+	for batch := 0; remaining > 0; batch++ {
+		// One pass, ties to the lower index: m is the core the per-step
+		// loop would pick, o the runner-up it would pick next.
+		m, o := 0, -1
+		for i := 1; i < n; i++ {
+			switch {
+			case clocks[i] < clocks[m]:
+				m, o = i, m
+			case o < 0 || clocks[i] < clocks[o]:
+				o = i
+			}
+		}
+		solo := o < 0 || clocks[o] == never
+		// A solo batch is long, so it polls every time.
+		if done != nil && (solo || batch&cancelCheckMask == 0) {
+			select {
+			case <-done:
+				return ctx.Err()
+			default:
+			}
+		}
+		// Core m keeps the pick while its clock is below the runner-up's
+		// — or equal to it, when m wins the lower-index tie-break.
+		limit := clocks[m] + soloChunkCycles
+		if !solo {
+			limit = clocks[o]
+			if m < o {
+				limit++
+			}
+		}
+		// A core that has not crossed its target stops its batch at the
+		// crossing so the crossing clock is captured; afterwards it runs
+		// on (restarted, as in the paper) up to cap.
+		stop := cap
+		if !reached[m] {
+			stop = targets[m]
+		}
+		c := cores[m]
+		c.StepUntil(limit, stop)
+		clocks[m] = c.Now()
+		if stop != never {
+			if cm := c.Committed(); cm >= stop {
+				if !reached[m] {
+					reached[m] = true
+					cross[m] = clocks[m]
+					remaining--
+				}
+				if cm >= cap {
+					clocks[m] = never
+				}
+			}
+		}
+		if hook != nil {
+			if min := minClock(clocks); min >= nextCap {
+				if err := hook.fn(reached, cross); err != nil {
+					return err
+				}
+				nextCap = (min/hook.every + 1) * hook.every
+			}
+		}
+	}
+	return nil
+}
+
+func minClock(clocks []uint64) uint64 {
+	min := clocks[0]
+	for _, cl := range clocks[1:] {
+		if cl < min {
+			min = cl
+		}
+	}
+	return min
+}
+
+// ---------------------------------------------------------------------------
+// Machines
+
+// machine is one built simulation: the shared uncore and one core model
+// per workload slot. It is the one place the two engines differ — it
+// builds, snapshots and restores either of them behind the stepper
+// interface the scheduling loop drives.
+type machine struct {
+	unc    *uncore.Uncore
+	cores  []stepper
+	cpus   []*cpu.Core      // the detailed engine's cores
+	badcos []*badco.Machine // the BADCO engine's machines
+	// traceLen is the first benchmark's trace length, which a zero quota
+	// resolves to.
+	traceLen int
+}
+
+// build constructs the machine for the workload under the given engine
+// and policy. Detailed traces resolve through the source here and are
+// not released: the caller owns the retention policy.
+func build(ctx context.Context, w Workload, engine Engine, policy cache.PolicyName, traces TraceSource, models map[string]*badco.Model) (*machine, error) {
+	if len(w) == 0 {
+		return nil, fmt.Errorf("multicore: empty workload")
+	}
+	unc, err := uncore.New(uncore.ConfigFor(len(w), policy))
+	if err != nil {
+		return nil, err
+	}
+	m := &machine{unc: unc, cores: make([]stepper, len(w))}
+	sp := telemetry.FromContext(ctx)
+	for i, name := range w {
+		if engine == BADCO {
+			mod, ok := models[name]
+			if !ok {
+				return nil, fmt.Errorf("multicore: no model for benchmark %q", name)
+			}
+			ma, err := badco.NewMachine(i, mod, unc)
+			if err != nil {
+				return nil, err
+			}
+			m.cores[i] = ma
+			m.badcos = append(m.badcos, ma)
+			if i == 0 {
+				m.traceLen = mod.TraceLen
+			}
+			continue
+		}
+		stop := sp.Time(phaseTraceLoad)
+		tr, err := traces.Trace(ctx, name)
+		stop()
+		if err != nil {
+			return nil, err
+		}
+		c, err := cpu.New(i, cpu.DefaultConfig(), tr, unc)
+		if err != nil {
+			return nil, err
+		}
+		m.cores[i] = c
+		m.cpus = append(m.cpus, c)
+		if i == 0 {
+			m.traceLen = tr.Len()
+		}
+	}
+	return m, nil
+}
+
+// prepare builds the spec's machine, resolves its quota and validates
+// the resolved spec.
+func prepare(ctx context.Context, w Workload, spec Spec, traces TraceSource, models map[string]*badco.Model) (*machine, Spec, error) {
+	m, err := build(ctx, w, spec.Engine, spec.Policy, traces, models)
+	if err != nil {
+		return nil, spec, err
+	}
+	spec = spec.Resolved(m.traceLen)
+	return m, spec, spec.Validate()
+}
+
+// advance drives every core to target and on to cap (see schedule),
+// recording the crossing clocks in cross.
+func (m *machine) advance(ctx context.Context, target, cap uint64, cross []uint64) error {
+	targets := make([]uint64, len(m.cores))
+	for i := range targets {
+		targets[i] = target
+	}
+	return schedule(ctx, m.cores, targets, cap, make([]bool, len(m.cores)), cross, nil)
+}
+
+// warm runs every thread to warmup committed µops, halting each at the
+// boundary.
+func (m *machine) warm(ctx context.Context, warmup uint64) error {
+	defer telemetry.FromContext(ctx).Time(phaseWarmup)()
+	return m.advance(ctx, warmup, warmup, make([]uint64, len(m.cores)))
+}
+
+// measure runs quota further µops per thread from the machine's current
+// state (reset, warmed or restored) and reports each thread's cycles
+// from its own clock at the start.
+func (m *machine) measure(ctx context.Context, w Workload, policy cache.PolicyName, quota uint64, hook *captureHook) (Result, error) {
+	n := len(m.cores)
+	targets := make([]uint64, n)
+	start := make([]uint64, n)
+	for i, c := range m.cores {
+		targets[i] = c.Committed() + quota
+		start[i] = c.Now()
+	}
+	cross := make([]uint64, n)
+	stop := telemetry.FromContext(ctx).Time(phaseMeasure)
+	err := schedule(ctx, m.cores, targets, never, make([]bool, n), cross, hook)
+	stop()
+	if err != nil {
+		return Result{}, err
+	}
+	for i := range cross {
+		cross[i] -= start[i]
+	}
+	return assemble(w, policy, cross, quota), nil
+}
+
+// ---------------------------------------------------------------------------
+// Entry points
+
+// Run simulates one workload under the spec. Detailed traces resolve
+// through the source and are not released here: the caller owns the
+// retention policy. A BADCO run uses the given models, or builds them
+// from the source when models is nil (so a nil-model BADCO Run must not
+// be called from inside RunBounded). A cancelled context aborts the
+// simulation and returns ctx.Err().
+func Run(ctx context.Context, w Workload, spec Spec, traces TraceSource, models map[string]*badco.Model) (Result, error) {
+	if err := spec.Validate(); err != nil {
+		return Result{}, err
+	}
+	models, err := modelsFor(ctx, []Workload{w}, spec, traces, models)
+	if err != nil {
+		return Result{}, err
+	}
+	m, spec, err := prepare(ctx, w, spec, traces, models)
+	if err != nil {
+		return Result{}, err
+	}
+	if spec.Sampling.Enabled() {
+		return m.sampled(ctx, w, spec)
+	}
+	if spec.Warmup > 0 {
+		if err := m.warm(ctx, spec.Warmup); err != nil {
+			return Result{}, err
+		}
+	}
+	return m.measure(ctx, w, spec.Policy, spec.Quota, nil)
+}
+
+// Sweep runs the spec over many workloads in parallel across the shared
+// simulation budget (see RunBounded); the results are indexed like
+// workloads. A BADCO sweep with nil models first builds the models of
+// every benchmark the workloads name. Traces resolve lazily through the
+// source (concurrent workloads sharing a benchmark share one build) and
+// stay resident for the caller to release: a sweep touches each
+// distinct benchmark many times, so releasing per workload would
+// thrash. Cancelling the context stops dispatching new workloads,
+// interrupts the running ones, and returns ctx.Err().
+func Sweep(ctx context.Context, workloads []Workload, spec Spec, traces TraceSource, models map[string]*badco.Model) ([]Result, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	models, err := modelsFor(ctx, workloads, spec, traces, models)
+	if err != nil {
+		return nil, err
+	}
+	results := make([]Result, len(workloads))
+	errs := make([]error, len(workloads))
+	if err := RunBounded(ctx, len(workloads), func(i int) {
+		results[i], errs[i] = Run(ctx, workloads[i], spec, traces, models)
+	}); err != nil {
+		return nil, err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return results, nil
+}
+
+// SweepApproximate is Sweep with BADCO over prebuilt models.
 func SweepApproximate(ctx context.Context, workloads []Workload, models map[string]*badco.Model, policy cache.PolicyName, quota uint64) ([]Result, error) {
-	results := make([]Result, len(workloads))
-	errs := make([]error, len(workloads))
-	if err := RunBounded(ctx, len(workloads), func(i int) {
-		results[i], errs[i] = Approximate(ctx, workloads[i], models, policy, quota)
-	}); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
+	return Sweep(ctx, workloads, Spec{Engine: BADCO, Policy: policy, Quota: quota}, nil, models)
 }
 
-// SweepDetailed simulates many workloads with the detailed model in
-// parallel across CPU cores. Traces resolve lazily through the source
-// (concurrent workloads sharing a benchmark share one build) and stay
-// resident for the caller to release: a sweep touches each distinct
-// benchmark many times, so releasing per workload would thrash.
+// SweepDetailed is Sweep with the detailed engine.
 func SweepDetailed(ctx context.Context, workloads []Workload, traces TraceSource, policy cache.PolicyName, quota uint64) ([]Result, error) {
-	results := make([]Result, len(workloads))
-	errs := make([]error, len(workloads))
-	if err := RunBounded(ctx, len(workloads), func(i int) {
-		results[i], errs[i] = Detailed(ctx, workloads[i], traces, policy, quota)
-	}); err != nil {
-		return nil, err
+	return Sweep(ctx, workloads, Spec{Engine: Detailed, Policy: policy, Quota: quota}, traces, nil)
+}
+
+// modelsFor returns the models a run of the workloads needs: the given
+// ones, or — for a BADCO spec given none but a trace source — models
+// built for every benchmark the workloads name.
+func modelsFor(ctx context.Context, workloads []Workload, spec Spec, traces TraceSource, models map[string]*badco.Model) (map[string]*badco.Model, error) {
+	if spec.Engine != BADCO || models != nil || traces == nil {
+		return models, nil
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	seen := map[string]bool{}
+	var names []string
+	for _, w := range workloads {
+		for _, name := range w {
+			if !seen[name] {
+				seen[name] = true
+				names = append(names, name)
+			}
 		}
 	}
-	return results, nil
+	return BuildModels(ctx, traces, names, badco.DefaultBuildConfig())
 }
 
 func maxParallel() int {

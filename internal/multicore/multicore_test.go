@@ -43,11 +43,11 @@ func models(t *testing.T) map[string]*badco.Model {
 
 func TestDetailedSingleVsPair(t *testing.T) {
 	trs := traces(t)
-	solo, err := Detailed(context.Background(), Workload{"mcf"}, trs, cache.LRU, 0)
+	solo, err := detailed(context.Background(), Workload{"mcf"}, trs, cache.LRU, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pair, err := Detailed(context.Background(), Workload{"mcf", "soplex"}, trs, cache.LRU, 0)
+	pair, err := detailed(context.Background(), Workload{"mcf", "soplex"}, trs, cache.LRU, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,24 +63,24 @@ func TestDetailedSingleVsPair(t *testing.T) {
 
 func TestDetailedErrors(t *testing.T) {
 	trs := traces(t)
-	if _, err := Detailed(context.Background(), Workload{}, trs, cache.LRU, 0); err == nil {
+	if _, err := detailed(context.Background(), Workload{}, trs, cache.LRU, 0); err == nil {
 		t.Error("empty workload accepted")
 	}
-	if _, err := Detailed(context.Background(), Workload{"nosuch"}, trs, cache.LRU, 0); err == nil {
+	if _, err := detailed(context.Background(), Workload{"nosuch"}, trs, cache.LRU, 0); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
-	if _, err := Detailed(context.Background(), Workload{"mcf"}, trs, "NOPOL", 0); err == nil {
+	if _, err := detailed(context.Background(), Workload{"mcf"}, trs, "NOPOL", 0); err == nil {
 		t.Error("unknown policy accepted")
 	}
 }
 
 func TestDetailedDeterminism(t *testing.T) {
 	trs := traces(t)
-	a, err := Detailed(context.Background(), Workload{"gcc", "mcf"}, trs, cache.DIP, 0)
+	a, err := detailed(context.Background(), Workload{"gcc", "mcf"}, trs, cache.DIP, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Detailed(context.Background(), Workload{"gcc", "mcf"}, trs, cache.DIP, 0)
+	b, err := detailed(context.Background(), Workload{"gcc", "mcf"}, trs, cache.DIP, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestDetailedDeterminism(t *testing.T) {
 
 func TestDuplicateBenchmarksGetDistinctPages(t *testing.T) {
 	trs := traces(t)
-	r, err := Detailed(context.Background(), Workload{"bzip2", "bzip2"}, trs, cache.LRU, 0)
+	r, err := detailed(context.Background(), Workload{"bzip2", "bzip2"}, trs, cache.LRU, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +111,11 @@ func TestApproximateMatchesDetailedRanking(t *testing.T) {
 	trs := traces(t)
 	mods := models(t)
 	w := Workload{"mcf", "povray"}
-	det, err := Detailed(context.Background(), w, trs, cache.LRU, 0)
+	det, err := detailed(context.Background(), w, trs, cache.LRU, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	app, err := Approximate(context.Background(), w, mods, cache.LRU, 0)
+	app, err := approximate(context.Background(), w, mods, cache.LRU, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,10 +135,10 @@ func TestApproximateMatchesDetailedRanking(t *testing.T) {
 
 func TestApproximateErrors(t *testing.T) {
 	mods := models(t)
-	if _, err := Approximate(context.Background(), Workload{}, mods, cache.LRU, 0); err == nil {
+	if _, err := approximate(context.Background(), Workload{}, mods, cache.LRU, 0); err == nil {
 		t.Error("empty workload accepted")
 	}
-	if _, err := Approximate(context.Background(), Workload{"nosuch"}, mods, cache.LRU, 0); err == nil {
+	if _, err := approximate(context.Background(), Workload{"nosuch"}, mods, cache.LRU, 0); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
 }
@@ -207,7 +207,7 @@ func TestPolicyAffectsThroughput(t *testing.T) {
 	w := Workload{"soplex", "bzip2"}
 	var ipcs []float64
 	for _, pol := range cache.PaperPolicies() {
-		r, err := Approximate(context.Background(), w, mods, pol, 0)
+		r, err := approximate(context.Background(), w, mods, pol, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,14 +246,14 @@ func TestResultCPI(t *testing.T) {
 
 func TestQuotaHonored(t *testing.T) {
 	trs := traces(t)
-	r, err := Detailed(context.Background(), Workload{"hmmer"}, trs, cache.LRU, 5000)
+	r, err := detailed(context.Background(), Workload{"hmmer"}, trs, cache.LRU, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Instructions != 5000 {
 		t.Errorf("quota %d, want 5000", r.Instructions)
 	}
-	full, _ := Detailed(context.Background(), Workload{"hmmer"}, trs, cache.LRU, 0)
+	full, _ := detailed(context.Background(), Workload{"hmmer"}, trs, cache.LRU, 0)
 	if r.Cycles[0] >= full.Cycles[0] {
 		t.Errorf("5000-op quota took %d cycles, full trace %d", r.Cycles[0], full.Cycles[0])
 	}

@@ -18,6 +18,6 @@ func BenchmarkProfileApprox(b *testing.B) {
 	w := Workload{"mcf", "soplex", "gcc", "libquantum"}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Approximate(context.Background(), w, m, cache.LRU, 0)
+		approximate(context.Background(), w, m, cache.LRU, 0)
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"context"
 	"fmt"
 
-	"mcbench/internal/cache"
 	"mcbench/internal/cpu"
 	"mcbench/internal/stats"
 	"mcbench/internal/telemetry"
@@ -96,57 +95,17 @@ func (s SamplingSpec) String() string {
 	return fmt.Sprintf("u%dd%dw%d", s.Unit, s.Window, s.Warmup)
 }
 
-// SampledResult is the outcome of a sampled detailed run. The embedded
-// Result reports the estimate: IPC per core is the inverse of the mean
-// per-window CPI — every window measures the same µop count, so the
-// mean CPI is exactly total measured cycles over total measured µops,
-// the unbiased ratio estimate (averaging per-window IPCs directly
-// would be Jensen-biased upward). Instructions is the µops measured in
-// detail per thread (windows × window length), Cycles the per-core
-// detailed cycles spent measuring them.
-type SampledResult struct {
-	Result
-	// Spec is the sampling configuration that produced the estimate.
-	Spec SamplingSpec
-	// Windows is the number of measured windows per thread.
-	Windows int
-	// CIHalf is the per-core half-width of the SampledConfidence
-	// interval around IPC: the Student-t interval on the mean window
-	// CPI, mapped to the IPC scale by the delta method. Zero when only
-	// one window was measured.
-	CIHalf []float64
-	// CV is the per-core coefficient of variation of the per-window
-	// CPIs (the cv SMARTS-style sampling reports).
-	CV []float64
-	// Samples holds the raw per-window IPCs, indexed [core][window].
-	Samples [][]float64
-}
-
-// DetailedSampled runs the workload under systematic sampling: per
-// sampling unit of spec.Unit µops, fast-forward the gap functionally,
-// warm spec.Warmup µops and measure spec.Window µops in full detail.
-// A zero quota defaults to the first trace's length; quota/spec.Unit
-// full units are sampled (a partial tail unit is not simulated at
-// all — that is where the speedup comes from). The estimate and its
-// confidence interval are over the per-window IPCs.
-func DetailedSampled(ctx context.Context, w Workload, traces TraceSource, policy cache.PolicyName, spec SamplingSpec, quota uint64) (SampledResult, error) {
-	if !spec.Enabled() {
-		return SampledResult{}, fmt.Errorf("multicore: sampling spec disabled (use Detailed for exact runs)")
-	}
-	if err := spec.Validate(); err != nil {
-		return SampledResult{}, err
-	}
-	_, cores, quota, err := buildDetailed(ctx, w, traces, policy, quota)
-	if err != nil {
-		return SampledResult{}, err
-	}
-	windows := quota / spec.Unit
-	if windows == 0 {
-		return SampledResult{}, fmt.Errorf("multicore: sampling unit %d exceeds quota %d", spec.Unit, quota)
-	}
-	steppers := asSteppers(cores)
-	n := len(cores)
-	gap := spec.Unit - spec.Warmup - spec.Window
+// sampled measures the machine under systematic sampling: per sampling
+// unit of spec.Sampling.Unit µops, fast-forward the gap functionally,
+// warm spec.Sampling.Warmup µops and measure spec.Sampling.Window µops
+// in full detail. quota/Unit full units are sampled (a partial tail unit
+// is not simulated at all — that is where the speedup comes from). The
+// estimate and its confidence interval are over the per-window IPCs.
+func (m *machine) sampled(ctx context.Context, w Workload, spec Spec) (Result, error) {
+	s := spec.Sampling
+	windows := spec.Quota / s.Unit
+	n := len(m.cores)
+	gap := s.Unit - s.Warmup - s.Window
 
 	samples := make([][]float64, n)
 	for i := range samples {
@@ -167,14 +126,11 @@ func DetailedSampled(ctx context.Context, w Workload, traces TraceSource, policy
 	// renormalize). The prologue's per-core wall-cycles also seed the
 	// speed weights for the first fast-forward's interleaving.
 	sp := telemetry.FromContext(ctx)
-	if prologue := min(spec.Warmup+spec.Window, gap); prologue > 0 {
-		stop := sp.Time(phaseWarmup)
-		err := runToBoundary(ctx, steppers, prologue)
-		stop()
-		if err != nil {
-			return SampledResult{}, err
+	if prologue := min(s.Warmup+s.Window, gap); prologue > 0 {
+		if err := m.warm(ctx, prologue); err != nil {
+			return Result{}, err
 		}
-		for i, c := range steppers {
+		for i, c := range m.cores {
 			if now := c.Now(); now > 0 {
 				weights[i] = float64(prologue) / float64(now)
 			}
@@ -182,25 +138,24 @@ func DetailedSampled(ctx context.Context, w Workload, traces TraceSource, policy
 	}
 
 	// The warmup phase drives the cores to an exact committed-count
-	// boundary with the halt-at-boundary discipline (runToBoundary); the
-	// measure phase uses the overshoot discipline of the exact run
-	// (runWindowOvershoot): a core that crosses the unit boundary keeps
-	// running — timed, into its own next gap — so the stragglers' window
-	// tails see the same shared-hierarchy contention a full detailed run
-	// would produce, halting before the next warmup region so the window
-	// layout stays aligned. Overshot µops are simply skipped by the next
-	// fast-forward.
+	// boundary and halts each there (cap = target); the measure phase
+	// lets a core that crosses the unit boundary keep running — timed,
+	// into its own next gap — so the stragglers' window tails see the
+	// same shared-hierarchy contention a full detailed run would produce,
+	// halting before the next warmup region (cap = the next warmup's
+	// start) so the window layout stays aligned. Overshot µops are simply
+	// skipped by the next fast-forward.
 	for k := uint64(0); k < windows; k++ {
 		if err := ctx.Err(); err != nil {
-			return SampledResult{}, err
+			return Result{}, err
 		}
-		base := k * spec.Unit
+		base := k * s.Unit
 		stopFF := sp.Time(phaseFastForward)
 		// A bounded warming stretch skips the gap's prefix outright (no
-		// state updates, O(1)) and warms only the last spec.Warm µops.
-		if spec.Warm > 0 && spec.Warm < gap {
-			skipTo := base + gap - spec.Warm
-			for _, c := range cores {
+		// state updates, O(1)) and warms only the last s.Warm µops.
+		if s.Warm > 0 && s.Warm < gap {
+			skipTo := base + gap - s.Warm
+			for _, c := range m.cpus {
 				if cm := c.Committed(); cm < skipTo {
 					c.Skip(skipTo - cm)
 				}
@@ -212,64 +167,52 @@ func DetailedSampled(ctx context.Context, w Workload, traces TraceSource, policy
 		// is the only lever for approximating the per-cycle mixing of a
 		// timed execution — sequential whole-gap runs would weight a slow
 		// core's pollution as heavily as a fast core's.
-		ffInterleaved(cores, weights, base+gap)
+		ffInterleaved(m.cpus, weights, base+gap)
 		// Resynchronize the local clocks before timing resumes: the shared
 		// uncore books bus/DRAM slots in absolute time, so a core whose
 		// clock fell behind would otherwise pay the skew as fake queueing
 		// behind the other cores' bookings.
-		syncClocks(cores, steppers)
+		m.syncClocks()
 		stopFF()
 		// Detailed warmup to the window start.
-		if spec.Warmup > 0 {
-			stopW := sp.Time(phaseWarmup)
-			err := runToBoundary(ctx, steppers, base+gap+spec.Warmup)
-			stopW()
-			if err != nil {
-				return SampledResult{}, err
+		if s.Warmup > 0 {
+			if err := m.warm(ctx, base+gap+s.Warmup); err != nil {
+				return Result{}, err
 			}
 			// Warmups cost different wall-cycles per core (a slow core's
 			// warmup runs long after the fast ones halted), so the clocks
 			// have drifted apart again; re-sync so every core measures from
 			// a common time origin.
-			syncClocks(cores, steppers)
+			m.syncClocks()
 		}
 		// Measure the window: per-core cycles from its own clock at the
 		// window start to its crossing of the unit boundary.
-		for i, c := range steppers {
+		for i, c := range m.cores {
 			clocks[i] = c.Now()
 		}
 		stopM := sp.Time(phaseMeasure)
-		err := runWindowOvershoot(ctx, steppers, base+spec.Unit, base+spec.Unit+gap, cross)
+		err := m.advance(ctx, base+s.Unit, base+s.Unit+gap, cross)
 		stopM()
 		if err != nil {
-			return SampledResult{}, err
+			return Result{}, err
 		}
-		for i := range steppers {
+		for i := range m.cores {
 			cyc := cross[i] - clocks[i]
 			totalCycles[i] += cyc
 			ipc := 0.0
 			if cyc > 0 {
-				ipc = float64(spec.Window) / float64(cyc)
+				ipc = float64(s.Window) / float64(cyc)
 				weights[i] = ipc
 			}
 			samples[i] = append(samples[i], ipc)
 		}
 	}
 
-	res := SampledResult{
-		Result: Result{
-			Workload:     append(Workload(nil), w...),
-			Policy:       policy,
-			IPC:          make([]float64, n),
-			Cycles:       totalCycles,
-			Instructions: windows * spec.Window,
-		},
-		Spec:    spec,
-		Windows: int(windows),
-		CIHalf:  make([]float64, n),
-		CV:      make([]float64, n),
-		Samples: samples,
-	}
+	res := assemble(w, spec.Policy, totalCycles, windows*s.Window)
+	res.Windows = int(windows)
+	res.CIHalf = make([]float64, n)
+	res.CV = make([]float64, n)
+	res.Samples = samples
 	cpis := make([]float64, windows)
 	for i := range samples {
 		for k, ipc := range samples[i] {
@@ -288,14 +231,12 @@ func DetailedSampled(ctx context.Context, w Workload, traces TraceSource, policy
 }
 
 // syncClocks advances every core's local clock to the fleet maximum.
-func syncClocks(cores []*cpu.Core, steppers []stepper) {
+func (m *machine) syncClocks() {
 	var sync uint64
-	for _, c := range steppers {
-		if now := c.Now(); now > sync {
-			sync = now
-		}
+	for _, c := range m.cpus {
+		sync = max(sync, c.Now())
 	}
-	for _, c := range cores {
+	for _, c := range m.cpus {
 		c.SyncClock(sync)
 	}
 }
@@ -348,98 +289,4 @@ func ffInterleaved(cores []*cpu.Core, weights []float64, tgt uint64) {
 			return
 		}
 	}
-}
-
-// runWindowOvershoot advances the cores on the smallest-local-clock-first
-// discipline until each has committed at least target µops, recording
-// each core's local clock at its crossing in cross. Unlike runToBoundary,
-// a core that crosses does not halt: it keeps running — timed — so the
-// stragglers' window tails see the same shared-hierarchy contention the
-// measured full run produces (whose cores overshoot their quota for
-// exactly this reason). Overshooters consume their own next inter-sample
-// gap, so they are capped at cap (the next warmup region's start) and
-// the following fast-forward skips whatever they already executed.
-func runWindowOvershoot(ctx context.Context, cores []stepper, target, cap uint64, cross []uint64) error {
-	n := len(cores)
-	done := ctx.Done()
-	halted := make([]bool, n)
-	reached := make([]bool, n)
-	clocks := make([]uint64, n)
-	remaining := 0
-	for i, c := range cores {
-		clocks[i] = c.Now()
-		cross[i] = clocks[i]
-		if c.Committed() >= target {
-			reached[i] = true
-		} else {
-			remaining++
-		}
-		halted[i] = c.Committed() >= cap
-	}
-	for batch := 0; remaining > 0; batch++ {
-		if done != nil && batch&cancelCheckMask == 0 {
-			select {
-			case <-done:
-				return ctx.Err()
-			default:
-			}
-		}
-		// Lowest-index minimum over the active cores; o is the runner-up.
-		m, o := -1, -1
-		for i := 0; i < n; i++ {
-			if halted[i] {
-				continue
-			}
-			switch {
-			case m < 0 || clocks[i] < clocks[m]:
-				m, o = i, m
-			case o < 0 || clocks[i] < clocks[o]:
-				o = i
-			}
-		}
-		if m < 0 {
-			break
-		}
-		limit := clocks[m] + soloChunkCycles
-		if o >= 0 {
-			limit = clocks[o]
-			if m < o {
-				limit++
-			}
-		}
-		c := cores[m]
-		quota := target
-		if reached[m] {
-			quota = cap
-		}
-		c.StepUntil(limit, quota)
-		clocks[m] = c.Now()
-		if !reached[m] && c.Committed() >= target {
-			reached[m] = true
-			cross[m] = clocks[m]
-			remaining--
-		}
-		if reached[m] && c.Committed() >= cap {
-			halted[m] = true
-		}
-	}
-	return nil
-}
-
-// SweepDetailedSampled runs DetailedSampled over many workloads in
-// parallel (see SweepDetailed for the residency contract).
-func SweepDetailedSampled(ctx context.Context, workloads []Workload, traces TraceSource, policy cache.PolicyName, spec SamplingSpec, quota uint64) ([]SampledResult, error) {
-	results := make([]SampledResult, len(workloads))
-	errs := make([]error, len(workloads))
-	if err := RunBounded(ctx, len(workloads), func(i int) {
-		results[i], errs[i] = DetailedSampled(ctx, workloads[i], traces, policy, spec, quota)
-	}); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
 }

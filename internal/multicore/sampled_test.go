@@ -50,10 +50,10 @@ func TestSamplingSpecValidate(t *testing.T) {
 
 // formatSampled renders every numeric field of a sampled result with
 // full float bit patterns, so the golden pins the run byte-identically.
-func formatSampled(r SampledResult) string {
+func formatSampled(r Result, spec SamplingSpec) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "workload=%s policy=%s spec=%s windows=%d instructions=%d\n",
-		r.Result.Workload, r.Policy, r.Spec, r.Windows, r.Instructions)
+		r.Workload, r.Policy, spec, r.Windows, r.Instructions)
 	for i := range r.IPC {
 		fmt.Fprintf(&b, "core %d cycles=%d ipc=%.9f(%016x) ci=%.9f(%016x) cv=%.9f(%016x)\n",
 			i, r.Cycles[i],
@@ -73,11 +73,11 @@ func formatSampled(r SampledResult) string {
 func TestSampledGolden(t *testing.T) {
 	trs := traces(t)
 	spec := SamplingSpec{Unit: 4000, Window: 1000, Warmup: 500}
-	r, err := DetailedSampled(context.Background(), Workload{"mcf", "povray"}, trs, cache.LRU, spec, 0)
+	r, err := sampled(context.Background(), Workload{"mcf", "povray"}, trs, cache.LRU, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := formatSampled(r)
+	got := formatSampled(r, spec)
 	path := filepath.Join("testdata", "sampled_golden.txt")
 	if *updateSampledGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -101,15 +101,15 @@ func TestSampledGolden(t *testing.T) {
 func TestSampledDeterministic(t *testing.T) {
 	trs := traces(t)
 	spec := SamplingSpec{Unit: 5000, Window: 1000, Warmup: 1000}
-	a, err := DetailedSampled(context.Background(), Workload{"soplex", "gcc"}, trs, cache.DRRIP, spec, 0)
+	a, err := sampled(context.Background(), Workload{"soplex", "gcc"}, trs, cache.DRRIP, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := DetailedSampled(context.Background(), Workload{"soplex", "gcc"}, trs, cache.DRRIP, spec, 0)
+	b, err := sampled(context.Background(), Workload{"soplex", "gcc"}, trs, cache.DRRIP, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if formatSampled(a) != formatSampled(b) {
+	if formatSampled(a, spec) != formatSampled(b, spec) {
 		t.Error("two identical sampled runs diverged")
 	}
 }
@@ -159,7 +159,7 @@ func seededTraces(t *testing.T, names []string, n int, off int64) TraceMap {
 // independent trace draws and workloads, the reported interval must
 // contain the exact steady-state IPC at no less than the configured
 // rate, and the mean relative error must stay within the accuracy
-// target. The baseline is a warmed exact run (DetailedWithWarmup)
+// target. The baseline is a warmed exact run (a Spec with a Warmup)
 // rather than a cold one: systematic sampling estimates steady-state
 // IPC by construction — its windows never cover the cold-start
 // transient, which on traces this short is a measurable fraction of a
@@ -183,23 +183,23 @@ func TestSampledCICoversExact(t *testing.T) {
 	for _, off := range []int64{0, 7000, 14000} {
 		trs := seededTraces(t, names, n, off)
 		for _, w := range workloads {
-			exact, err := DetailedWithWarmup(ctx, w, trs, cache.LRU, spec.Unit, n-spec.Unit)
+			exact, err := Run(ctx, w, Spec{Policy: cache.LRU, Quota: n - spec.Unit, Warmup: spec.Unit}, trs, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sampled, err := DetailedSampled(ctx, w, trs, cache.LRU, spec, 0)
+			est, err := sampled(ctx, w, trs, cache.LRU, spec)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := range exact.IPC {
-				diff := math.Abs(sampled.IPC[i] - exact.IPC[i])
+				diff := math.Abs(est.IPC[i] - exact.IPC[i])
 				errSum += diff / exact.IPC[i]
 				total++
-				if diff <= sampled.CIHalf[i] {
+				if diff <= est.CIHalf[i] {
 					covered++
 				}
 				t.Logf("seed+%d %s core %d: exact %.4f sampled %.4f ± %.4f (cv %.3f)",
-					off, w, i, exact.IPC[i], sampled.IPC[i], sampled.CIHalf[i], sampled.CV[i])
+					off, w, i, exact.IPC[i], est.IPC[i], est.CIHalf[i], est.CV[i])
 			}
 		}
 	}
@@ -215,13 +215,25 @@ func TestSampledCICoversExact(t *testing.T) {
 func TestSampledErrors(t *testing.T) {
 	trs := traces(t)
 	ctx := context.Background()
-	if _, err := DetailedSampled(ctx, Workload{"mcf"}, trs, cache.LRU, SamplingSpec{}, 0); err == nil {
-		t.Error("disabled spec accepted")
+	for _, c := range []struct {
+		name string
+		spec Spec
+	}{
+		{"overfull unit", Spec{Sampling: SamplingSpec{Unit: 100, Window: 80, Warmup: 30}}},
+		{"unit beyond quota", Spec{Sampling: SamplingSpec{Unit: never, Window: 10}}},
+		{"unit beyond explicit quota", Spec{Quota: 2000, Sampling: SamplingSpec{Unit: 4000, Window: 10}}},
+		{"badco engine", Spec{Engine: BADCO, Sampling: SamplingSpec{Unit: 1000, Window: 10}}},
+		{"with warmup", Spec{Warmup: 100, Sampling: SamplingSpec{Unit: 1000, Window: 10}}},
+	} {
+		c.spec.Policy = cache.LRU
+		if _, err := Run(ctx, Workload{"mcf"}, c.spec, trs, models(t)); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
-	if _, err := DetailedSampled(ctx, Workload{"mcf"}, trs, cache.LRU, SamplingSpec{Unit: 100, Window: 80, Warmup: 30}, 0); err == nil {
-		t.Error("overfull unit accepted")
-	}
-	if _, err := DetailedSampled(ctx, Workload{"mcf"}, trs, cache.LRU, SamplingSpec{Unit: never, Window: 10}, 0); err == nil {
-		t.Error("unit beyond quota accepted")
-	}
+}
+
+// sampled is the sampled detailed run of the tests: a zero quota, one
+// trace length.
+func sampled(ctx context.Context, w Workload, trs TraceSource, policy cache.PolicyName, s SamplingSpec) (Result, error) {
+	return Run(ctx, w, Spec{Policy: policy, Sampling: s}, trs, nil)
 }

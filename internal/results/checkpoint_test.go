@@ -21,7 +21,8 @@ func TestCheckpointPersistRoundTrip(t *testing.T) {
 	w := multicore.Workload{"mcf", "soplex"}
 	const quota = 6000
 
-	uninterrupted, err := multicore.Detailed(ctx, w, trs, cache.DRRIP, quota)
+	spec := multicore.Spec{Policy: cache.DRRIP, Quota: quota}
+	uninterrupted, err := multicore.Run(ctx, w, spec, trs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func TestCheckpointPersistRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	const name = "sweep:drrip/2c" // exercises sanitization too
-	if _, err := multicore.DetailedCheckpointed(ctx, w, trs, cache.DRRIP, quota, 1500, func(cp *multicore.Checkpoint) error {
+	if _, err := multicore.Checkpointed(ctx, w, spec, trs, nil, 1500, func(cp *multicore.Checkpoint) error {
 		return s.SaveCheckpoint(name, cp)
 	}); err != nil {
 		t.Fatal(err)
@@ -44,7 +45,7 @@ func TestCheckpointPersistRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("checkpoint not found after save")
 	}
-	resumed, err := multicore.DetailedResume(ctx, cp, trs)
+	resumed, err := multicore.Resume(ctx, cp, trs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

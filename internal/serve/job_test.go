@@ -199,6 +199,7 @@ func TestManagerSettledRetention(t *testing.T) {
 		waitState(t, j, StateDone)
 		ids = append(ids, j.id)
 	}
+	waitSettled(t, m, 5)
 	for _, old := range ids[:3] {
 		if _, ok := m.get(old); ok {
 			t.Errorf("settled job %s not evicted beyond the cap", old)
@@ -224,4 +225,24 @@ func waitState(t *testing.T, j *job, want State) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("job %s never reached %s (state %s)", j.id, want, j.status().State)
+}
+
+// waitSettled waits until the manager has retired n jobs. A job's
+// terminal state is published just before the manager retires it
+// (finishFrom, then settle), so a test that saw the terminal state and
+// then reads the counters or the retained-job list must wait for the
+// retirement too.
+func waitSettled(t *testing.T, m *manager, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st := m.snapshotStats()
+		if st.Done+st.Failed+st.Canceled >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d jobs retired, want %d", st.Done+st.Failed+st.Canceled, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }

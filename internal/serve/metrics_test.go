@@ -68,6 +68,7 @@ func TestMetricsLifecycle(t *testing.T) {
 	if _, final := waitTerminal(t, ts.URL, st.ID, 30*time.Second); final != StateDone {
 		t.Fatalf("final state %q", final)
 	}
+	waitSettled(t, s.mgr, 1)
 
 	var snap telemetry.Snapshot
 	if code := getJSON(t, ts.URL+"/metrics?format=json", &snap); code != http.StatusOK {
@@ -139,6 +140,7 @@ func TestMetricsDedupVisibility(t *testing.T) {
 	if _, final := waitTerminal(t, ts.URL, id, 60*time.Second); final != StateDone {
 		t.Fatalf("final state %q", final)
 	}
+	waitSettled(t, s.mgr, 1)
 
 	var snap telemetry.Snapshot
 	getJSON(t, ts.URL+"/metrics?format=json", &snap)

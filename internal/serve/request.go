@@ -98,7 +98,7 @@ type SimulateRequest struct {
 	// workload's own width.
 	Cores int `json:"cores,omitempty"`
 	// Sampling, when set, runs the detailed simulation under systematic
-	// sampling (multicore.DetailedSampled): the returned IPCs become
+	// sampling (multicore.Spec.Sampling): the returned IPCs become
 	// steady-state estimates with confidence and cv columns. Requires
 	// the detailed engine and is mutually exclusive with Warmup.
 	Sampling *SampleSpec `json:"sampling,omitempty"`
@@ -177,10 +177,7 @@ func canonicalize(req SubmitRequest, src bench.Source, traceLen int) (SubmitRequ
 		if err != nil {
 			return req, "", err
 		}
-		if err := checkWarmup(s.Warmup, s.Quota, traceLen); err != nil {
-			return req, "", err
-		}
-		if err := checkSampling(s.Sampling, engine, s.Warmup); err != nil {
+		if err := checkRun(runSpec(engine, policy, s.Quota, s.Warmup, s.Sampling), s.Sampling, traceLen); err != nil {
 			return req, "", err
 		}
 		s.Workload, s.Policy, s.Engine = w[0], policy, engine
@@ -206,10 +203,7 @@ func canonicalize(req SubmitRequest, src bench.Source, traceLen int) (SubmitRequ
 		if err != nil {
 			return req, "", err
 		}
-		if err := checkWarmup(s.Warmup, s.Quota, traceLen); err != nil {
-			return req, "", err
-		}
-		if err := checkSampling(s.Sampling, engine, s.Warmup); err != nil {
+		if err := checkRun(runSpec(engine, policy, s.Quota, s.Warmup, s.Sampling), s.Sampling, traceLen); err != nil {
 			return req, "", err
 		}
 		s.Workloads, s.Policy, s.Engine = w, policy, engine
@@ -304,52 +298,35 @@ func canonProduct(p ProductRef) (experiments.Request, error) {
 	return r.Normalized(), nil
 }
 
-// checkSampling rejects an unusable sampling schedule before it is
-// enqueued: the spec itself must validate, only the detailed engine can
-// be sampled, and a whole-run warmup cannot combine with it (the spec's
-// own warmup field plays that role per window).
-func checkSampling(s *SampleSpec, engine string, warmup uint64) error {
-	if s == nil {
-		return nil
+// runSpec is the multicore run a simulate or sweep request describes;
+// engine and policy are already canonical.
+func runSpec(engine, policy string, quota, warmup uint64, sampling *SampleSpec) multicore.Spec {
+	e := multicore.Detailed
+	if engine == EngineBadco {
+		e = multicore.BADCO
 	}
-	if err := s.spec().Validate(); err != nil {
-		return badRequest("serve: %v", err)
-	}
-	if !s.spec().Enabled() {
-		return badRequest("serve: empty sampling spec (omit the field for an exact run)")
-	}
-	if engine != EngineDetailed {
-		return badRequest("serve: sampling requires the %q engine", EngineDetailed)
-	}
-	if warmup > 0 {
-		return badRequest("serve: warmup and sampling are mutually exclusive (the sampling spec's warmup field warms each window)")
-	}
-	return nil
+	return multicore.Spec{Engine: e, Policy: cache.PolicyName(policy), Quota: quota, Warmup: warmup, Sampling: sampling.spec()}
 }
 
-// checkWarmup rejects a warmup prefix that exceeds the measurement
-// quota (a zero quota resolves to one trace length, as in the drivers),
-// so an impossible run is refused before it is enqueued.
-func checkWarmup(warmup, quota uint64, traceLen int) error {
-	q := quota
-	if q == 0 {
-		q = uint64(traceLen)
+// checkRun refuses an impossible run before it is enqueued: the spec,
+// its zero quota resolved to the lab's trace length, must validate, and
+// a sampling field that is present must ask for sampling.
+func checkRun(spec multicore.Spec, sampling *SampleSpec, traceLen int) error {
+	if err := spec.Resolved(traceLen).Validate(); err != nil {
+		return badRequest("serve: %v", err)
 	}
-	if warmup > q {
-		return badRequest("serve: warmup %d exceeds the instruction quota %d", warmup, q)
+	if sampling != nil && !spec.Sampling.Enabled() {
+		return badRequest("serve: empty sampling spec (omit the field for an exact run)")
 	}
 	return nil
 }
 
 // canonSim validates and canonicalizes the shared simulate/sweep fields:
 // policy and engine defaults, WithCores-style replication, and name
-// validation against the source.
+// validation against the source (checkRun validates the policy).
 func canonSim(src bench.Source, workloads [][]string, policy, engine string, cores int) (resolved [][]string, pol, eng string, err error) {
 	if policy == "" {
 		policy = string(cache.LRU)
-	}
-	if _, err := cache.NewPolicy(cache.PolicyName(policy), 0); err != nil {
-		return nil, "", "", badRequest("serve: %v", err)
 	}
 	switch engine {
 	case "":

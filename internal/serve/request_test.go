@@ -239,6 +239,10 @@ func TestCanonicalizeSamplingRejections(t *testing.T) {
 		{"empty spec", SimulateRequest{Workload: []string{"mcf"}, Sampling: &SampleSpec{}}},
 		{"warm beyond gap", SimulateRequest{Workload: []string{"mcf"},
 			Sampling: &SampleSpec{Unit: 4000, Window: 1000, Warmup: 500, Warm: 2501}}},
+		{"unit beyond quota", SimulateRequest{Workload: []string{"mcf"}, Quota: 2000,
+			Sampling: &SampleSpec{Unit: 4000, Window: 1000}}},
+		{"unit beyond trace length", SimulateRequest{Workload: []string{"mcf"},
+			Sampling: &SampleSpec{Unit: 2 * testTraceLen, Window: 1000}}},
 	}
 	for _, c := range cases {
 		req := c.req

@@ -69,6 +69,7 @@ func TestPanicIsolation(t *testing.T) {
 
 	// The server survived: the panic is counted, and the very same
 	// worker pool still executes jobs to completion.
+	waitSettled(t, s.mgr, 1)
 	var health Health
 	if code := getJSON(t, ts.URL+"/healthz", &health); code != http.StatusOK {
 		t.Fatalf("healthz after panic: %d", code)
@@ -104,6 +105,7 @@ func TestJobTimeout(t *testing.T) {
 	if !strings.Contains(got.Error, "exceeded timeout") {
 		t.Errorf("timeout job error %q", got.Error)
 	}
+	waitSettled(t, s.mgr, 1)
 	var health Health
 	getJSON(t, ts.URL+"/healthz", &health)
 	if health.Jobs.TimedOut != 1 {

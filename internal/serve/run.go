@@ -238,70 +238,27 @@ func (s *Server) adhocSweep(ctx context.Context, j *job, workloads [][]string, p
 	for i, w := range workloads {
 		ws[i] = multicore.Workload(w)
 	}
-	pol := cache.PolicyName(policy)
-	if spec := sampling.spec(); spec.Enabled() {
-		// Sampled runs are detailed-only (canonicalize enforced it).
-		sampled, err := multicore.SweepDetailedSampled(ctx, ws, prov, pol, spec, quota)
-		for _, n := range distinct {
-			prov.Release(n)
-		}
-		if err != nil {
-			return nil, err
-		}
-		out := make([]SimResult, len(sampled))
-		for i, r := range sampled {
-			out[i] = SimResult{
-				Workload:     append([]string(nil), r.Workload...),
-				Policy:       string(r.Policy),
-				Engine:       engine,
-				IPC:          r.IPC,
-				Cycles:       r.Cycles,
-				Instructions: r.Instructions,
-				Sampling:     sampling,
-				CIHalf:       r.CIHalf,
-				CV:           r.CV,
-				Windows:      r.Windows,
-			}
-		}
-		return out, nil
-	}
-	var results []multicore.Result
-	switch engine {
-	case EngineBadco:
-		models, err := multicore.BuildModels(ctx, prov, distinct, badco.DefaultBuildConfig())
-		if err != nil {
+	spec := runSpec(engine, policy, quota, warmup, sampling)
+	var models map[string]*badco.Model
+	if spec.Engine == multicore.BADCO {
+		if models, err = multicore.BuildModels(ctx, prov, distinct, badco.DefaultBuildConfig()); err != nil {
 			return nil, err
 		}
 		j.emit("models", fmt.Sprintf("%d BADCO models built", len(models)), map[string]any{"models": len(models)})
-		if warmup > 0 {
-			results, err = warmedSweep(ctx, ws, func(ctx context.Context, w multicore.Workload) (multicore.Result, error) {
-				return multicore.ApproximateWithWarmup(ctx, w, models, pol, warmup, quota)
-			})
-		} else {
-			results, err = multicore.SweepApproximate(ctx, ws, models, pol, quota)
-		}
-		if err != nil {
-			return nil, err
-		}
-	default:
-		if warmup > 0 {
-			results, err = warmedSweep(ctx, ws, func(ctx context.Context, w multicore.Workload) (multicore.Result, error) {
-				return multicore.DetailedWithWarmup(ctx, w, prov, pol, warmup, quota)
-			})
-		} else {
-			results, err = multicore.SweepDetailed(ctx, ws, prov, pol, quota)
-		}
+	}
+	results, err := multicore.Sweep(ctx, ws, spec, prov, models)
+	if spec.Engine == multicore.Detailed {
 		// Ad-hoc jobs are one-shot: release every trace the sweep built
-		// (the BADCO branch releases through BuildModels) so a
-		// long-running server's resident memory tracks in-flight work,
-		// not the history of benchmarks clients ever touched. The traces
-		// rebuild deterministically if asked again.
+		// (BuildModels released BADCO's) so a long-running server's
+		// resident memory tracks in-flight work, not the history of
+		// benchmarks clients ever touched. The traces rebuild
+		// deterministically if asked again.
 		for _, n := range distinct {
 			prov.Release(n)
 		}
-		if err != nil {
-			return nil, err
-		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	out := make([]SimResult, len(results))
 	for i, r := range results {
@@ -313,25 +270,11 @@ func (s *Server) adhocSweep(ctx context.Context, j *job, workloads [][]string, p
 			IPC:          r.IPC,
 			Cycles:       r.Cycles,
 			Instructions: r.Instructions,
+			Sampling:     sampling,
+			CIHalf:       r.CIHalf,
+			CV:           r.CV,
+			Windows:      r.Windows,
 		}
 	}
 	return out, nil
-}
-
-// warmedSweep runs the two-stage (warmup + measure) simulation per
-// workload on the shared simulation budget, mirroring the plain sweeps.
-func warmedSweep(ctx context.Context, ws []multicore.Workload, run func(context.Context, multicore.Workload) (multicore.Result, error)) ([]multicore.Result, error) {
-	results := make([]multicore.Result, len(ws))
-	errs := make([]error, len(ws))
-	if err := multicore.RunBounded(ctx, len(ws), func(i int) {
-		results[i], errs[i] = run(ctx, ws[i])
-	}); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
 }

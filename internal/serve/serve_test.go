@@ -354,6 +354,7 @@ func TestDedupConcurrentSubmissions(t *testing.T) {
 	if final != StateDone {
 		t.Fatalf("final state %q", final)
 	}
+	waitSettled(t, s.mgr, 1)
 	// Exactly one underlying sweep ran for the m submissions.
 	if badco, detailed := s.Lab().SweepCounts(); badco != 1 || detailed != 0 {
 		t.Fatalf("sweeps = (%d, %d), want exactly (1, 0) for %d coalesced submissions", badco, detailed, m)
@@ -600,6 +601,11 @@ func TestAdhocSampledJob(t *testing.T) {
 	}
 	if _, final := waitTerminal(t, ts.URL, st.ID, 60*time.Second); final != StateDone {
 		t.Fatalf("sampled job state %q", final)
+	}
+	// The exact job shares the benchmarks: wait for it too before
+	// asserting that no trace stays resident.
+	if _, final := waitTerminal(t, ts.URL, exact.ID, 60*time.Second); final != StateDone {
+		t.Fatalf("exact job state %q", final)
 	}
 	var result JobResult
 	getJSON(t, ts.URL+"/jobs/"+st.ID+"/result", &result)

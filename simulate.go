@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"mcbench/internal/badco"
 	"mcbench/internal/bench"
 	"mcbench/internal/cache"
 	"mcbench/internal/multicore"
@@ -151,15 +150,6 @@ func buildOptions(opts []Option) options {
 	return o
 }
 
-// effectiveQuota resolves the per-thread measurement quota: WithQuota
-// when given, one trace length otherwise (the drivers' default).
-func (o options) effectiveQuota() uint64 {
-	if o.quota != 0 {
-		return o.quota
-	}
-	return uint64(o.traceLen)
-}
-
 // source resolves the configured benchmark source.
 func (o options) source() Source {
 	if o.suite != nil {
@@ -186,36 +176,21 @@ func resolveWorkload(workload []string, cores int) ([]string, error) {
 	return nil, fmt.Errorf("mcbench: workload has %d threads but WithCores(%d) was given", len(workload), cores)
 }
 
-// validate checks the options against the workload and returns the
-// resolved thread list.
-func (o options) validate(workload []string) ([]string, error) {
+// spec checks the options and returns the run they describe, with a
+// zero quota resolved to one trace length.
+func (o options) spec() (multicore.Spec, error) {
 	if o.traceLen <= 0 {
-		return nil, fmt.Errorf("mcbench: non-positive trace length %d", o.traceLen)
+		return multicore.Spec{}, fmt.Errorf("mcbench: non-positive trace length %d", o.traceLen)
 	}
-	if _, err := cache.NewPolicy(o.policy, 0); err != nil {
-		return nil, err
+	// Engine values match multicore's; Validate rejects any other.
+	spec := multicore.Spec{
+		Engine: multicore.Engine(o.engine), Policy: o.policy,
+		Quota: o.quota, Warmup: o.warmup, Sampling: o.sampling,
+	}.Resolved(o.traceLen)
+	if err := spec.Validate(); err != nil {
+		return spec, fmt.Errorf("mcbench: %w", err)
 	}
-	if o.engine != Detailed && o.engine != BADCO {
-		return nil, fmt.Errorf("mcbench: unknown engine %v", o.engine)
-	}
-	// The quota defaults to one trace length per thread. A warmup beyond
-	// it almost always means swapped arguments, so it is rejected here
-	// rather than silently accepted as a run that mostly discards work.
-	if q := o.effectiveQuota(); o.warmup > q {
-		return nil, fmt.Errorf("mcbench: warmup %d exceeds the instruction quota %d", o.warmup, q)
-	}
-	if o.sampling.Enabled() || o.sampling != (multicore.SamplingSpec{}) {
-		if err := o.sampling.Validate(); err != nil {
-			return nil, fmt.Errorf("mcbench: %w", err)
-		}
-		if o.engine != Detailed {
-			return nil, fmt.Errorf("mcbench: WithSampling requires the Detailed engine (BADCO is already fast; sample the slow simulator)")
-		}
-		if o.warmup > 0 {
-			return nil, fmt.Errorf("mcbench: WithSampling and WithWarmup are mutually exclusive (the sampled run owns its warmup structure; see WithSampling's warmup argument)")
-		}
-	}
-	return resolveWorkload(workload, o.cores)
+	return spec, nil
 }
 
 // convert maps a multicore result into the public Result.
@@ -227,6 +202,9 @@ func convert(r multicore.Result, engine Engine) *Result {
 		IPC:          r.IPC,
 		Cycles:       r.Cycles,
 		Instructions: r.Instructions,
+		CIHalf:       r.CIHalf,
+		CV:           r.CV,
+		Windows:      r.Windows,
 	}
 }
 
@@ -240,41 +218,23 @@ func convert(r multicore.Result, engine Engine) *Result {
 //	    mcbench.WithTraceLen(20000))
 func Simulate(ctx context.Context, workload []string, opts ...Option) (*Result, error) {
 	o := buildOptions(opts)
-	w, err := o.validate(workload)
+	spec, err := o.spec()
+	if err != nil {
+		return nil, err
+	}
+	w, err := resolveWorkload(workload, o.cores)
 	if err != nil {
 		return nil, err
 	}
 	src := o.source()
-	names, err := bench.CheckNames(src, [][]string{w})
+	if _, err := bench.CheckNames(src, [][]string{w}); err != nil {
+		return nil, err
+	}
+	r, err := multicore.Run(ctx, multicore.Workload(w), spec, bench.At(src, o.traceLen), nil)
 	if err != nil {
 		return nil, err
 	}
-	prov := bench.At(src, o.traceLen)
-	switch o.engine {
-	case BADCO:
-		models, err := multicore.BuildModels(ctx, prov, names, badco.DefaultBuildConfig())
-		if err != nil {
-			return nil, err
-		}
-		r, err := multicore.ApproximateWithWarmup(ctx, multicore.Workload(w), models, o.policy, o.warmup, o.quota)
-		if err != nil {
-			return nil, err
-		}
-		return convert(r, BADCO), nil
-	default:
-		if o.sampling.Enabled() {
-			r, err := multicore.DetailedSampled(ctx, multicore.Workload(w), prov, o.policy, o.sampling, o.quota)
-			if err != nil {
-				return nil, err
-			}
-			return convertSampled(r), nil
-		}
-		r, err := multicore.DetailedWithWarmup(ctx, multicore.Workload(w), prov, o.policy, o.warmup, o.quota)
-		if err != nil {
-			return nil, err
-		}
-		return convert(r, Detailed), nil
-	}
+	return convert(r, o.engine), nil
 }
 
 // Sweep simulates many workloads under one configuration, in parallel
@@ -283,85 +243,29 @@ func Simulate(ctx context.Context, workload []string, opts ...Option) (*Result, 
 // distinct benchmark. The returned slice is indexed like workloads.
 func Sweep(ctx context.Context, workloads [][]string, opts ...Option) ([]*Result, error) {
 	o := buildOptions(opts)
-	ws := make([]multicore.Workload, len(workloads))
-	for i, w := range workloads {
-		resolved, err := o.validate(w)
-		if err != nil {
-			return nil, err
-		}
-		ws[i] = multicore.Workload(resolved)
-	}
-	all := make([][]string, len(ws))
-	for i, w := range ws {
-		all[i] = []string(w)
-	}
-	src := o.source()
-	names, err := bench.CheckNames(src, all)
+	spec, err := o.spec()
 	if err != nil {
 		return nil, err
 	}
-	prov := bench.At(src, o.traceLen)
-	var results []multicore.Result
-	switch o.engine {
-	case BADCO:
-		models, err := multicore.BuildModels(ctx, prov, names, badco.DefaultBuildConfig())
-		if err != nil {
+	ws := make([]multicore.Workload, len(workloads))
+	all := make([][]string, len(workloads))
+	for i, w := range workloads {
+		if all[i], err = resolveWorkload(w, o.cores); err != nil {
 			return nil, err
 		}
-		if o.warmup > 0 {
-			results, err = sweepWarmed(ctx, ws, func(ctx context.Context, w multicore.Workload) (multicore.Result, error) {
-				return multicore.ApproximateWithWarmup(ctx, w, models, o.policy, o.warmup, o.quota)
-			})
-		} else {
-			results, err = multicore.SweepApproximate(ctx, ws, models, o.policy, o.quota)
-		}
-		if err != nil {
-			return nil, err
-		}
-	default:
-		if o.sampling.Enabled() {
-			sampled, err := multicore.SweepDetailedSampled(ctx, ws, prov, o.policy, o.sampling, o.quota)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]*Result, len(sampled))
-			for i, r := range sampled {
-				out[i] = convertSampled(r)
-			}
-			return out, nil
-		}
-		if o.warmup > 0 {
-			results, err = sweepWarmed(ctx, ws, func(ctx context.Context, w multicore.Workload) (multicore.Result, error) {
-				return multicore.DetailedWithWarmup(ctx, w, prov, o.policy, o.warmup, o.quota)
-			})
-		} else {
-			results, err = multicore.SweepDetailed(ctx, ws, prov, o.policy, o.quota)
-		}
-		if err != nil {
-			return nil, err
-		}
+		ws[i] = all[i]
+	}
+	src := o.source()
+	if _, err := bench.CheckNames(src, all); err != nil {
+		return nil, err
+	}
+	results, err := multicore.Sweep(ctx, ws, spec, bench.At(src, o.traceLen), nil)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]*Result, len(results))
 	for i, r := range results {
 		out[i] = convert(r, o.engine)
 	}
 	return out, nil
-}
-
-// sweepWarmed runs the two-stage (warmup + measure) simulation per
-// workload on the shared simulation budget, like the plain sweeps.
-func sweepWarmed(ctx context.Context, ws []multicore.Workload, run func(context.Context, multicore.Workload) (multicore.Result, error)) ([]multicore.Result, error) {
-	results := make([]multicore.Result, len(ws))
-	errs := make([]error, len(ws))
-	if err := multicore.RunBounded(ctx, len(ws), func(i int) {
-		results[i], errs[i] = run(ctx, ws[i])
-	}); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
 }
