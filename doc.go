@@ -228,9 +228,9 @@
 // traffic and steady-state allocations. Every machine component also
 // snapshots into and restores from reusable state buffers
 // (Snapshot/Restore on cpu.Core, badco.Machine, uncore and below), the
-// checkpoint layer behind WithWarmup's shared-warmup sweeps and the
-// results store's crash-resume checkpoints; golden tests pin
-// snapshot→restore→run bit-identical to the uninterrupted run. See
+// checkpoint layer behind WithWarmup's shared-warmup sweeps; golden
+// tests pin snapshot→restore→run bit-identical to the uninterrupted
+// run. See
 // README.md's Performance, "Checkpointed sweeps" and "Sampled
 // simulation" sections, with measured speedups in BENCH_2.json,
 // BENCH_6.json and BENCH_9.json (scripts/bench.sh).

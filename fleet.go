@@ -21,29 +21,6 @@ import (
 	"mcbench/internal/telemetry"
 )
 
-// FleetJoin registers a worker with a coordinator (POST /fleet/join).
-// A coordinator that rejects the worker as incompatible (mixed builds or
-// lab configurations) answers 409; most callers want Serve's Join
-// option, which drives the whole membership loop, instead.
-func (c *Client) FleetJoin(ctx context.Context, req FleetJoinRequest) (*FleetJoinResponse, error) {
-	var resp FleetJoinResponse
-	if err := c.do(ctx, http.MethodPost, "/fleet/join", req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
-// FleetHeartbeat renews a fleet membership lease. A 404 means the
-// coordinator no longer knows the id (restart or lease lapse): re-join.
-func (c *Client) FleetHeartbeat(ctx context.Context, id string) error {
-	return c.do(ctx, http.MethodPost, "/fleet/heartbeat", map[string]string{"id": id}, nil)
-}
-
-// FleetLeave deregisters a fleet membership (idempotent).
-func (c *Client) FleetLeave(ctx context.Context, id string) error {
-	return c.do(ctx, http.MethodPost, "/fleet/leave", map[string]string{"id": id}, nil)
-}
-
 // SubmitWarm submits a warm job: the server precomputes the named
 // campaign products into its lab and persistent cache without rendering
 // a table. On a fleet coordinator the plan is sharded across the
@@ -73,24 +50,31 @@ func (c *Client) CacheGet(ctx context.Context, key string) (data []byte, ok bool
 // clientPeer adapts Client to fleet.Peer.
 type clientPeer struct{ c *Client }
 
+// Join posts the registration handshake (POST /fleet/join). A
+// coordinator that rejects the worker as incompatible (mixed builds, lab
+// configurations or models) answers 409, which maps to
+// fleet.ErrIncompatible.
 func (p clientPeer) Join(ctx context.Context, req fleet.JoinRequest) (*fleet.JoinResponse, error) {
-	resp, err := p.c.FleetJoin(ctx, req)
-	if err != nil {
+	var resp fleet.JoinResponse
+	if err := p.c.do(ctx, http.MethodPost, "/fleet/join", req, &resp); err != nil {
 		var ae *APIError
 		if errors.As(err, &ae) && ae.StatusCode == http.StatusConflict {
 			return nil, fmt.Errorf("%w: %s", fleet.ErrIncompatible, ae.Message)
 		}
 		return nil, err
 	}
-	return resp, nil
+	return &resp, nil
 }
 
+// Heartbeat renews the membership lease. A 404 means the coordinator no
+// longer knows the id (restart or lease lapse): the agent re-joins.
 func (p clientPeer) Heartbeat(ctx context.Context, id string) error {
-	return p.c.FleetHeartbeat(ctx, id)
+	return p.c.do(ctx, http.MethodPost, "/fleet/heartbeat", map[string]string{"id": id}, nil)
 }
 
+// Leave deregisters the membership (idempotent).
 func (p clientPeer) Leave(ctx context.Context, id string) error {
-	return p.c.FleetLeave(ctx, id)
+	return p.c.do(ctx, http.MethodPost, "/fleet/leave", map[string]string{"id": id}, nil)
 }
 
 func (p clientPeer) SubmitWarm(ctx context.Context, products []experiments.Request) (string, error) {

@@ -8,7 +8,6 @@ package mcbench_test
 
 import (
 	"context"
-	"errors"
 	"net/http"
 	"strings"
 	"testing"
@@ -101,16 +100,15 @@ func TestFleetPublicAPI(t *testing.T) {
 		}
 	}
 
-	// A mixed-version join is rejected with 409 over the public client.
-	bad := mcbench.FleetJoinRequest{Addr: "127.0.0.1:1", Source: "suite", TraceLen: 2000}
-	bad.Build.Module, bad.Build.Version = "mcbench", "v9.9.9-mixed"
-	if _, err := coord.FleetJoin(ctx, bad); err == nil {
-		t.Error("mixed-version FleetJoin succeeded, want 409")
-	} else {
-		var ae *mcbench.APIError
-		if !errors.As(err, &ae) || ae.StatusCode != http.StatusConflict {
-			t.Errorf("mixed-version FleetJoin error %v, want a 409 APIError", err)
-		}
+	// A mixed-version join is rejected with 409 on the wire.
+	bad := `{"addr":"127.0.0.1:1","build":{"module":"mcbench","version":"v9.9.9-mixed"}}`
+	resp, err := http.Post("http://"+coordAddr+"/fleet/join", "application/json", strings.NewReader(bad))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict {
+		t.Errorf("mixed-version join: %d, want 409", resp.StatusCode)
 	}
 
 	// A warm campaign shards across the fleet: the workers sweep, the

@@ -3,7 +3,6 @@ package badco
 // Checkpoint support: a Machine's State is its replay cursor (node index
 // and iteration), the per-node time vectors and the clocks. The model and
 // the memory binding are identity, owned by whoever rebuilds the machine.
-// Fields are exported so snapshots survive encoding/gob persistence;
 // Snapshot into a warmed buffer and Restore are allocation-free.
 
 // State is a reusable deep snapshot of a Machine.

@@ -4,8 +4,7 @@ package bpred
 // global histories, folded registers, the TAGE allocation LFSR and all
 // statistics — deep-copies into a reusable State buffer and restores
 // bit-exactly. Snapshot and Restore are allocation-free once the buffer
-// has grown to its steady-state size. Fields are exported so snapshots
-// survive encoding/gob persistence.
+// has grown to its steady-state size.
 
 import "fmt"
 

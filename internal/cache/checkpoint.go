@@ -7,9 +7,6 @@ package cache
 // Snapshot and Restore are allocation-free once the buffer has grown to
 // its steady-state size, so periodic checkpoints do not perturb the
 // allocation-free simulation hot paths they interleave with.
-//
-// All State fields are exported so a checkpoint can be persisted with
-// encoding/gob for crash-resume; the types themselves stay internal.
 
 import "math/rand"
 

@@ -45,8 +45,7 @@ func (p *nextLinePrefetcher) Observe(_, addr uint64, miss bool) []uint64 {
 // IP-based stride
 
 // ipStrideEntry tracks the last address and stride observed for one
-// instruction address. Fields are exported so prefetcher snapshots
-// survive encoding/gob persistence (see checkpoint.go).
+// instruction address.
 type ipStrideEntry struct {
 	Tag      uint64
 	LastAddr uint64

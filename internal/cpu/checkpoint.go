@@ -7,8 +7,7 @@ package cpu
 // to the owner that rebuilds the core. Scratch (pfBuf, the prefetchers'
 // proposal buffers) and the recorder hook are deliberately not state:
 // scratch is dead between Steps, and recording is an observation channel,
-// not simulated machinery. Fields are exported so snapshots survive
-// encoding/gob persistence; Snapshot into a warmed buffer and Restore are
+// not simulated machinery. Snapshot into a warmed buffer and Restore are
 // allocation-free.
 
 import (

@@ -15,7 +15,6 @@ import (
 	"sync"
 
 	"mcbench/internal/cache"
-	"mcbench/internal/results"
 )
 
 // Simulator names the engine (or measurement) behind a warmed product.
@@ -48,13 +47,10 @@ type Request struct {
 }
 
 // Normalized returns the request with the fields its simulator ignores
-// zeroed — the identity Warm dedups by and ProductEvents report. The
-// serve subsystem keys its event routing by it.
-func (r Request) Normalized() Request { return r.normalize() }
-
-// normalize zeroes the fields a request's simulator ignores, so that
-// equivalent requests deduplicate.
-func (r Request) normalize() Request {
+// zeroed — the identity Warm dedups by and ProductEvents report, so that
+// equivalent requests deduplicate. The serve subsystem keys its event
+// routing by it.
+func (r Request) Normalized() Request {
 	switch r.Sim {
 	case SimMPKI, SimModels:
 		r.Cores, r.Policy = 0, ""
@@ -107,7 +103,7 @@ func (l *Lab) Warm(ctx context.Context, plan []Request, workers int) (int, error
 	seen := make(map[Request]bool, len(plan))
 	var uniq []Request
 	for _, r := range plan {
-		r = r.normalize()
+		r = r.Normalized()
 		if seen[r] {
 			continue
 		}
@@ -161,34 +157,13 @@ type KeyedRequest struct {
 }
 
 // ProductKey returns the persistent-store content key the request's
-// product is saved under, given this lab's configuration. Only the
-// population IPC tables — SimBadco and SimDetailed with a positive core
-// count — have one: the reference/MPKI/model products are in-memory
-// memos every node rebuilds cheaply on its own. The key is a pure
-// function of the lab config, so every fleet node computes identical
-// keys without coordination.
+// product is saved under, given this lab's configuration (see identity:
+// only population IPC tables have one). The key is a pure function of
+// the lab config, so every fleet node computes identical keys without
+// coordination.
 func (l *Lab) ProductKey(r Request) (string, bool) {
-	r = r.normalize()
-	if r.Cores <= 0 {
-		return "", false
-	}
-	proto := results.IPCTable{
-		Cores: r.Cores, Policy: string(r.Policy),
-		TraceLen: l.cfg.TraceLen, Seed: l.cfg.Seed,
-		Source: l.sourceKey(), Warmup: l.cfg.Warmup,
-	}
-	switch r.Sim {
-	case SimBadco:
-		proto.Simulator = "badco"
-		proto.Population = l.Population(r.Cores).Size()
-	case SimDetailed:
-		proto.Simulator = "detailed"
-		proto.Population = len(l.DetSample(r.Cores))
-		proto.Universe = l.Population(r.Cores).Size()
-	default:
-		return "", false
-	}
-	return proto.Key(), true
+	id, ok := l.identity(r)
+	return id.Key(), ok
 }
 
 // PartitionPlan reduces a campaign plan to its shardable products:
@@ -199,7 +174,7 @@ func (l *Lab) PartitionPlan(plan []Request) []KeyedRequest {
 	seen := make(map[Request]bool, len(plan))
 	var out []KeyedRequest
 	for _, r := range plan {
-		r = r.normalize()
+		r = r.Normalized()
 		if seen[r] {
 			continue
 		}

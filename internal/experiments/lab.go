@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -382,7 +383,7 @@ func observeRun[V any](l *Lab, ctx context.Context, ev ProductEvent, rows func(V
 func (l *Lab) recordProduct(ev ProductEvent, sp *telemetry.Span) {
 	r := l.metrics()
 	sampling := "exact"
-	if ev.Sim == "detailed" && l.cfg.Sampling.Enabled() {
+	if ev.Sim == string(SimDetailed) && l.cfg.Sampling.Enabled() {
 		sampling = "sampled"
 	}
 	r.Histogram("mcbench_lab_product_seconds",
@@ -544,42 +545,77 @@ func (l *Lab) toMulticore(w workload.Workload) multicore.Workload {
 // key block on it, and different keys sweep in parallel.
 func (l *Lab) BadcoIPC(ctx context.Context, cores int, policy cache.PolicyName) ([][]float64, error) {
 	return l.badcoIPC.do(ctx, ipcKey{cores, policy}, func() ([][]float64, error) {
-		pop := l.Population(cores)
-		if table, ok := l.loadCached("badco", cores, policy, pop.Size(), 0); ok {
-			l.cacheHit("badco")
-			l.observe(ProductEvent{Sim: "badco", Cores: cores, Policy: string(policy),
-				Phase: "done", Cached: true, Rows: len(table)})
-			return table, nil
-		}
-		l.cacheMiss("badco")
-		ev := ProductEvent{Sim: "badco", Cores: cores, Policy: string(policy)}
-		return observeRun(l, ctx, ev, func(t [][]float64) int { return len(t) }, func(ctx context.Context) ([][]float64, error) {
-			models, err := l.Models(ctx)
-			if err != nil {
-				return nil, err
-			}
-			l.badcoSweeps.Add(1)
-			ws := make([]multicore.Workload, pop.Size())
-			for i, w := range pop.Workloads {
-				ws[i] = l.toMulticore(w)
-			}
-			// BADCO is cheap enough that sharing a warmed prefix across
-			// policies buys nothing: each workload warms on its own.
-			spec := multicore.Spec{Engine: multicore.BADCO, Policy: policy, Warmup: uint64(l.cfg.Warmup)}
-			results, err := multicore.Sweep(ctx, ws, spec, l.Provider(), models)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: BADCO sweep (%d cores, %s): %w", cores, policy, err)
-			}
-			table := make([][]float64, len(results))
-			for i, r := range results {
-				table[i] = r.IPC
-			}
-			stop := telemetry.FromContext(ctx).Time("store_save")
-			l.saveCached("badco", cores, policy, table, 0)
-			stop()
-			return table, nil
-		})
+		return l.ipcTable(ctx, Request{Sim: SimBadco, Cores: cores, Policy: policy}, l.badcoSweep)
 	})
+}
+
+// badcoSweep sweeps the whole population with BADCO machines. BADCO is
+// cheap enough that sharing a warmed prefix across policies buys
+// nothing: each workload warms on its own.
+func (l *Lab) badcoSweep(ctx context.Context, cores int, policy cache.PolicyName) (results.IPCTable, error) {
+	models, err := l.Models(ctx)
+	if err != nil {
+		return results.IPCTable{}, err
+	}
+	l.badcoSweeps.Add(1)
+	pop := l.Population(cores)
+	ws := make([]multicore.Workload, pop.Size())
+	for i, w := range pop.Workloads {
+		ws[i] = l.toMulticore(w)
+	}
+	spec := multicore.Spec{Engine: multicore.BADCO, Policy: policy, Warmup: uint64(l.cfg.Warmup)}
+	rs, err := multicore.Sweep(ctx, ws, spec, l.Provider(), models)
+	if err != nil {
+		return results.IPCTable{}, fmt.Errorf("experiments: BADCO sweep (%d cores, %s): %w", cores, policy, err)
+	}
+	return tableOf(rs), nil
+}
+
+// ipcTable is the body of BadcoIPC and DetailedIPC: load the product's
+// persisted table, or else run the sweep and save its table.
+func (l *Lab) ipcTable(ctx context.Context, r Request, sweep func(context.Context, int, cache.PolicyName) (results.IPCTable, error)) ([][]float64, error) {
+	ev := ProductEvent{Sim: string(r.Sim), Cores: r.Cores, Policy: string(r.Policy)}
+	store := l.resultStore()
+	var id results.Identity
+	if store != nil {
+		id, _ = l.identity(r)
+		if t, ok, err := store.Load(id); err == nil && ok {
+			l.cacheHit(ev.Sim)
+			ev.Phase, ev.Cached, ev.Rows = "done", true, len(t.IPC)
+			l.observe(ev)
+			return t.IPC, nil
+		}
+	}
+	l.cacheMiss(ev.Sim)
+	return observeRun(l, ctx, ev, func(t [][]float64) int { return len(t) }, func(ctx context.Context) ([][]float64, error) {
+		t, err := sweep(ctx, r.Cores, r.Policy)
+		if err != nil {
+			return nil, err
+		}
+		// Persistence is best-effort: a failed save still returns the
+		// table to the caller.
+		stop := telemetry.FromContext(ctx).Time("store_save")
+		if store != nil {
+			t.Identity = id
+			_ = store.Save(&t)
+		}
+		stop()
+		return t.IPC, nil
+	})
+}
+
+// tableOf collects a sweep's per-workload IPC rows, plus the confidence
+// and cv columns a sampled sweep fills in.
+func tableOf(rs []multicore.Result) results.IPCTable {
+	var t results.IPCTable
+	for _, r := range rs {
+		t.IPC = append(t.IPC, r.IPC)
+		if r.CIHalf != nil {
+			t.CI = append(t.CI, r.CIHalf)
+			t.CV = append(t.CV, r.CV)
+		}
+	}
+	return t
 }
 
 // DetSample returns the population indices of the workloads simulated
@@ -607,64 +643,8 @@ func (l *Lab) DetSample(cores int) []int {
 // model. Row i corresponds to DetSample(cores)[i].
 func (l *Lab) DetailedIPC(ctx context.Context, cores int, policy cache.PolicyName) ([][]float64, error) {
 	return l.detIPC.do(ctx, ipcKey{cores, policy}, func() ([][]float64, error) {
-		pop := l.Population(cores)
-		sample := l.DetSample(cores)
-		// Detailed keys always name the population the sample was drawn
-		// from (DetSample is deterministic given the seed and
-		// population): two configs with equal sample sizes but different
-		// Pop4Limit/Pop8Size must not share a table, and stamping even
-		// full-population tables keeps legacy un-stamped files — written
-		// by versions that never read them back — permanently unloadable.
-		universe := pop.Size()
-		if table, ok := l.loadCached("detailed", cores, policy, len(sample), universe); ok {
-			l.cacheHit("detailed")
-			l.observe(ProductEvent{Sim: "detailed", Cores: cores, Policy: string(policy),
-				Phase: "done", Cached: true, Rows: len(table)})
-			return table, nil
-		}
-		l.cacheMiss("detailed")
-		ev := ProductEvent{Sim: "detailed", Cores: cores, Policy: string(policy)}
-		return observeRun(l, ctx, ev, func(t [][]float64) int { return len(t) }, func(ctx context.Context) ([][]float64, error) {
-			if l.cfg.Sampling.Enabled() {
-				table, ci, cv, err := l.detailedSampledSweep(ctx, cores, policy)
-				if err != nil {
-					return nil, err
-				}
-				stop := telemetry.FromContext(ctx).Time("store_save")
-				l.saveCachedSampled("detailed", cores, policy, table, ci, cv, universe)
-				stop()
-				return table, nil
-			}
-			table, err := l.detailedSweep(ctx, cores, policy)
-			if err != nil {
-				return nil, err
-			}
-			stop := telemetry.FromContext(ctx).Time("store_save")
-			l.saveCached("detailed", cores, policy, table, universe)
-			stop()
-			return table, nil
-		})
+		return l.ipcTable(ctx, Request{Sim: SimDetailed, Cores: cores, Policy: policy}, l.detailedSweep)
 	})
-}
-
-// detailedSampledSweep computes one sampled detailed IPC table plus its
-// confidence and cv columns (see Config.Sampling).
-func (l *Lab) detailedSampledSweep(ctx context.Context, cores int, policy cache.PolicyName) (table, ci, cv [][]float64, err error) {
-	spec := multicore.Spec{Policy: policy, Warmup: uint64(l.cfg.Warmup), Sampling: l.cfg.Sampling}
-	l.detSweeps.Add(1)
-	results, err := multicore.Sweep(ctx, l.detWorkloads(cores), spec, l.Provider(), nil)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("experiments: sampled detailed sweep (%d cores, %s, %s): %w", cores, policy, l.cfg.Sampling, err)
-	}
-	table = make([][]float64, len(results))
-	ci = make([][]float64, len(results))
-	cv = make([][]float64, len(results))
-	for i, r := range results {
-		table[i] = r.IPC
-		ci[i] = r.CIHalf
-		cv[i] = r.CV
-	}
-	return table, ci, cv, nil
 }
 
 // detWorkloads names the DetSample workloads for the core count.
@@ -678,43 +658,39 @@ func (l *Lab) detWorkloads(cores int) []multicore.Workload {
 	return ws
 }
 
-// detailedSweep computes one detailed IPC table. With a zero warmup it
-// is the plain population sweep. With a positive warmup, a case-study
-// policy is served from the grouped shared-warmup sweep (all policies at
-// once, one warmed prefix per workload); any other policy warms alone.
-func (l *Lab) detailedSweep(ctx context.Context, cores int, policy cache.PolicyName) ([][]float64, error) {
-	if l.cfg.Warmup == 0 {
+// detailedSweep computes one detailed IPC table. Without a warmup it
+// is the plain population sweep, exact or sampled (Config.Sampling; a
+// sampled sweep also fills the confidence and cv columns). With a
+// positive warmup, a case-study policy is served from the grouped
+// shared-warmup sweep (all policies at once, one warmed prefix per
+// workload); any other policy warms alone.
+func (l *Lab) detailedSweep(ctx context.Context, cores int, policy cache.PolicyName) (results.IPCTable, error) {
+	if l.cfg.Warmup == 0 || l.cfg.Sampling.Enabled() {
 		l.detSweeps.Add(1)
 		// The sweep resolves traces lazily through the source: only
 		// benchmarks that actually appear in the sample are ever built.
-		results, err := multicore.Sweep(ctx, l.detWorkloads(cores), multicore.Spec{Policy: policy}, l.Provider(), nil)
+		spec := multicore.Spec{Policy: policy, Warmup: uint64(l.cfg.Warmup), Sampling: l.cfg.Sampling}
+		rs, err := multicore.Sweep(ctx, l.detWorkloads(cores), spec, l.Provider(), nil)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: detailed sweep (%d cores, %s): %w", cores, policy, err)
+			return results.IPCTable{}, fmt.Errorf("experiments: detailed sweep (%d cores, %s, %s): %w", cores, policy, l.cfg.Sampling, err)
 		}
-		table := make([][]float64, len(results))
-		for i, r := range results {
-			table[i] = r.IPC
-		}
-		return table, nil
+		return tableOf(rs), nil
 	}
-	for _, p := range Policies() {
-		if p == policy {
-			group, err := l.detShared.do(ctx, cores, func() (map[cache.PolicyName][][]float64, error) {
-				return l.detailedSharedSweep(ctx, cores, Policies())
-			})
-			if err != nil {
-				return nil, err
-			}
-			return group[policy], nil
-		}
+	var group map[cache.PolicyName][][]float64
+	var err error
+	if slices.Contains(Policies(), policy) {
+		group, err = l.detShared.do(ctx, cores, func() (map[cache.PolicyName][][]float64, error) {
+			return l.detailedSharedSweep(ctx, cores, Policies())
+		})
+	} else {
+		// Off the case-study list there is nothing to share the prefix
+		// with: warm this policy's runs on their own.
+		group, err = l.detailedSharedSweep(ctx, cores, []cache.PolicyName{policy})
 	}
-	// Off the case-study list there is nothing to share the prefix with:
-	// warm this policy's runs on their own.
-	group, err := l.detailedSharedSweep(ctx, cores, []cache.PolicyName{policy})
 	if err != nil {
-		return nil, err
+		return results.IPCTable{}, err
 	}
-	return group[policy], nil
+	return results.IPCTable{IPC: group[policy]}, nil
 }
 
 // detailedSharedSweep warms the detailed sample once per workload and
@@ -751,62 +727,46 @@ func (l *Lab) detailedSharedSweep(ctx context.Context, cores int, pols []cache.P
 	return tables, nil
 }
 
-// cacheIdentity builds the identity half of a persisted IPC table. The
-// sampling spec is folded in only for the detailed simulator — BADCO and
-// reference tables never run sampled, and stamping them would fragment
-// their caches for no reason.
-func (l *Lab) cacheIdentity(sim string, cores int, policy cache.PolicyName, population, universe int) results.IPCTable {
-	t := results.IPCTable{
-		Simulator: sim, Cores: cores, Policy: string(policy),
-		TraceLen: l.cfg.TraceLen, Population: population, Seed: l.cfg.Seed,
-		Universe: universe, Source: l.sourceKey(), Warmup: l.cfg.Warmup,
+// Identity returns the lab-level identity of the tables this lab
+// persists: benchmark source, trace length, seed, warmup, sampling spec
+// and the simulator model's fingerprint. Fleet nodes must agree on it
+// to share tables; a product's identity adds its own fields (identity).
+// Computing the fingerprint runs a short probe simulation, once per
+// process.
+func (l *Lab) Identity() results.Identity {
+	id := results.Identity{
+		TraceLen: l.cfg.TraceLen, Seed: l.cfg.Seed, Source: l.sourceKey(),
+		Warmup: l.cfg.Warmup, Model: multicore.Fingerprint(),
 	}
-	if sim == "detailed" && l.cfg.Sampling.Enabled() {
-		t.SampleUnit = int(l.cfg.Sampling.Unit)
-		t.SampleWindow = int(l.cfg.Sampling.Window)
-		t.SampleWarmup = int(l.cfg.Sampling.Warmup)
-		t.SampleWarm = int(l.cfg.Sampling.Warm)
-	}
-	return t
+	id.SetSampling(l.cfg.Sampling)
+	return id
 }
 
-// loadCached fetches a persisted IPC table if CacheDir is configured.
-// universe is non-zero when the table covers a sample of a larger
-// population (see DetailedIPC).
-func (l *Lab) loadCached(sim string, cores int, policy cache.PolicyName, population, universe int) ([][]float64, bool) {
-	store := l.resultStore()
-	if store == nil {
-		return nil, false
+// identity returns the identity of the persisted table a request
+// produces. Only the population IPC tables — SimBadco and SimDetailed
+// with a positive core count — have one: the reference/MPKI/model
+// products are in-memory memos every node rebuilds cheaply on its own.
+// Detailed tables name the population their sample was drawn from
+// (DetSample is deterministic given the seed and population): two
+// configs with equal sample sizes but different Pop4Limit/Pop8Size must
+// not share a table. Only detailed tables carry the sampling spec —
+// BADCO never runs sampled, and stamping its tables would fragment their
+// cache for no reason.
+func (l *Lab) identity(r Request) (results.Identity, bool) {
+	r = r.Normalized()
+	if r.Cores <= 0 || r.Sim != SimBadco && r.Sim != SimDetailed {
+		return results.Identity{}, false
 	}
-	t, ok, err := store.Load(l.cacheIdentity(sim, cores, policy, population, universe))
-	if err != nil || !ok {
-		return nil, false
+	id := l.Identity()
+	id.Simulator, id.Cores, id.Policy = string(r.Sim), r.Cores, string(r.Policy)
+	if r.Sim == SimBadco {
+		id.Population = l.Population(r.Cores).Size()
+		id.SetSampling(multicore.SamplingSpec{})
+	} else {
+		id.Population = len(l.DetSample(r.Cores))
+		id.Universe = l.Population(r.Cores).Size()
 	}
-	return t.IPC, true
-}
-
-// saveCached persists an IPC table if CacheDir is configured; failures
-// are non-fatal (the table is still returned to the caller).
-func (l *Lab) saveCached(sim string, cores int, policy cache.PolicyName, table [][]float64, universe int) {
-	store := l.resultStore()
-	if store == nil {
-		return
-	}
-	t := l.cacheIdentity(sim, cores, policy, len(table), universe)
-	t.IPC = table
-	_ = store.Save(&t)
-}
-
-// saveCachedSampled persists a sampled IPC table together with its
-// confidence and cv columns; like saveCached, failures are non-fatal.
-func (l *Lab) saveCachedSampled(sim string, cores int, policy cache.PolicyName, table, ci, cv [][]float64, universe int) {
-	store := l.resultStore()
-	if store == nil {
-		return
-	}
-	t := l.cacheIdentity(sim, cores, policy, len(table), universe)
-	t.IPC, t.CI, t.CV = table, ci, cv
-	_ = store.Save(&t)
+	return id, true
 }
 
 // RefIPC returns the per-benchmark single-thread reference IPC on the

@@ -25,6 +25,7 @@ import (
 
 	"mcbench/internal/buildinfo"
 	"mcbench/internal/experiments"
+	"mcbench/internal/results"
 )
 
 // Peer is the coordinator's view of one remote serve node, and the
@@ -60,24 +61,18 @@ type Peer interface {
 type Dialer func(addr string) (Peer, error)
 
 // JoinRequest is a worker's registration handshake. Build carries the
-// worker's `mcbench version` identity and the lab fields pin the
-// experiment configuration; the coordinator rejects any mismatch with
-// ErrIncompatible, because nodes with different builds or lab configs
-// would compute different bytes for the same content key and poison the
-// shared fabric.
+// worker's `mcbench version` identity and Lab its lab identity
+// (experiments.Lab.Identity: source, trace length, seed, warmup,
+// sampling spec and model fingerprint); the coordinator rejects any
+// mismatch with ErrIncompatible, because nodes with different builds,
+// lab configs or simulator models would compute different bytes for the
+// same content key and poison the shared fabric.
 type JoinRequest struct {
 	// Addr is the worker's advertised listen address, reachable from the
 	// coordinator.
-	Addr  string         `json:"addr"`
-	Build buildinfo.Info `json:"build"`
-	// Lab identity: the benchmark source name, trace length, seed,
-	// warmup and sampling spec (canonical string, "exact" when disabled)
-	// the worker's lab is configured with.
-	Source   string `json:"source"`
-	TraceLen int    `json:"trace_len"`
-	Seed     int64  `json:"seed"`
-	Warmup   int    `json:"warmup"`
-	Sampling string `json:"sampling,omitempty"`
+	Addr  string           `json:"addr"`
+	Build buildinfo.Info   `json:"build"`
+	Lab   results.Identity `json:"lab"`
 }
 
 // JoinResponse grants fleet membership.

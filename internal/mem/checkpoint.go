@@ -2,8 +2,7 @@ package mem
 
 // Checkpoint support: the bus's path-booking cursors and both devices'
 // statistics are the only mutable state; the cycle costs are derived from
-// the config at construction and stay identity. Fields are exported so
-// snapshots survive encoding/gob persistence.
+// the config at construction and stay identity.
 
 // BusState is a reusable snapshot of a Bus.
 type BusState struct {

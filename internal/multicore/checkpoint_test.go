@@ -2,158 +2,69 @@ package multicore
 
 import (
 	"context"
-	"math/rand"
 	"testing"
 
 	"mcbench/internal/cache"
 )
 
 // The checkpoint golden tests prove the snapshot layer's central claim:
-// a run interrupted at any schedule boundary and restored — into fresh
-// machines or over dirty ones — finishes bit-identically to the
-// uninterrupted run, and a shared-warmup fan-out reproduces exactly the
-// sequential warm-then-swap reference.
+// a warmup snapshot restored — into fresh machines or over dirty ones —
+// measures bit-identically to the uninterrupted two-stage run, and a
+// shared-warmup fan-out reproduces exactly the sequential
+// warm-then-swap reference.
 
-// TestGoldenCheckpointResumeDetailed interrupts runs at randomized clock
-// boundaries and resumes each checkpoint into fresh machines.
-func TestGoldenCheckpointResumeDetailed(t *testing.T) {
-	trs := traces(t)
-	ctx := context.Background()
-	w := Workload{"mcf", "soplex"}
-	const quota = 8000
-	uninterrupted, err := detailed(ctx, w, trs, cache.DRRIP, quota)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(20260808))
-	for trial := 0; trial < 3; trial++ {
-		every := uint64(400 + rng.Intn(2000))
-		var cps []*Checkpoint
-		run, err := Checkpointed(ctx, w, Spec{Policy: cache.DRRIP, Quota: quota}, trs, nil, every, func(cp *Checkpoint) error {
-			cps = append(cps, cp)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertBitIdentical(t, "checkpointed run", run, uninterrupted)
-		if len(cps) == 0 {
-			t.Fatalf("no checkpoints captured at interval %d", every)
-		}
-		cp := cps[rng.Intn(len(cps))]
-		resumed, err := Resume(ctx, cp, trs, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertBitIdentical(t, "resumed", resumed, uninterrupted)
-	}
-}
-
-// TestGoldenCheckpointResumeSingleCore pins the solo fast path of the
-// scheduling loop, including periodic capture.
-func TestGoldenCheckpointResumeSingleCore(t *testing.T) {
-	trs := traces(t)
-	ctx := context.Background()
-	w := Workload{"hmmer"}
-	const quota = 6000
-	uninterrupted, err := detailed(ctx, w, trs, cache.LRU, quota)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cps []*Checkpoint
-	run, err := Checkpointed(ctx, w, Spec{Policy: cache.LRU, Quota: quota}, trs, nil, 700, func(cp *Checkpoint) error {
-		cps = append(cps, cp)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBitIdentical(t, "solo checkpointed run", run, uninterrupted)
-	if len(cps) == 0 {
-		t.Fatal("no checkpoints captured")
-	}
-	for _, cp := range []*Checkpoint{cps[0], cps[len(cps)-1]} {
-		resumed, err := Resume(ctx, cp, trs, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertBitIdentical(t, "solo resumed", resumed, uninterrupted)
-	}
-}
-
-// TestGoldenCheckpointRestoreModes restores one checkpoint three ways —
-// into fresh machines continued by the batched loop, into fresh
-// machines continued by the per-step reference oracle, and
-// over machines dirtied by unrelated progress — and demands the same
-// bits from all of them.
+// TestGoldenCheckpointRestoreModes restores one warmup snapshot two ways
+// — into fresh machines continued by the per-step reference oracle, and
+// over machines dirtied by unrelated progress continued by the batched
+// loop — and demands the bits of the uninterrupted warmed run from both.
 func TestGoldenCheckpointRestoreModes(t *testing.T) {
 	trs := traces(t)
 	ctx := context.Background()
 	w := Workload{"mcf", "povray"}
-	const quota = 8000
-	uninterrupted, err := detailed(ctx, w, trs, cache.LRU, quota)
+	const warmup, quota = 3000, 8000
+	spec := Spec{Engine: Detailed, Policy: cache.LRU, Quota: quota, Warmup: warmup}
+	uninterrupted, err := Run(ctx, w, spec, trs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cps []*Checkpoint
-	if _, err := Checkpointed(ctx, w, Spec{Policy: cache.LRU, Quota: quota}, trs, nil, 1500, func(cp *Checkpoint) error {
-		cps = append(cps, cp)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(cps) < 2 {
-		t.Fatalf("want at least 2 checkpoints, got %d", len(cps))
-	}
-	cp := cps[len(cps)/2]
-
-	// Fresh machines, batched continuation (the Resume path).
-	fresh, err := Resume(ctx, cp, trs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBitIdentical(t, "fresh restore", fresh, uninterrupted)
+	cp := warmCheckpoint(t, w, spec, trs, nil)
 
 	// Fresh machines, per-step reference continuation.
-	continueFrom := func(cores []stepper) Result {
-		t.Helper()
-		targets := make([]uint64, len(cores))
-		for i := range targets {
-			targets[i] = cp.Quota
-		}
-		reached := append([]bool(nil), cp.Reached...)
-		quotaCycle := append([]uint64(nil), cp.QuotaCycle...)
-		if err := runInterleavedFromReference(ctx, cores, targets, reached, quotaCycle); err != nil {
-			t.Fatal(err)
-		}
-		return assemble(cp.Workload, cp.Policy, quotaCycle, cp.Quota)
-	}
-	ref, err := restore(ctx, cp, cp.Policy, trs, nil)
+	ref, err := restore(ctx, cp, cp.policy, trs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertBitIdentical(t, "reference-stepper restore", continueFrom(ref.cores), uninterrupted)
+	n := len(ref.cores)
+	targets := make([]uint64, n)
+	start := make([]uint64, n)
+	for i, c := range ref.cores {
+		targets[i] = c.Committed() + quota
+		start[i] = c.Now()
+	}
+	cross := make([]uint64, n)
+	if err := runInterleavedFromReference(ctx, ref.cores, targets, make([]bool, n), cross); err != nil {
+		t.Fatal(err)
+	}
+	for i := range cross {
+		cross[i] -= start[i]
+	}
+	assertBitIdentical(t, "reference-stepper restore", assemble(w, cp.policy, cross, quota), uninterrupted)
 
 	// Dirty machines: advance an identically built machine set to an
-	// unrelated point, then restore the checkpoint over it.
-	m, _ := mustBuild(t, w, Spec{Policy: cache.LRU, Quota: quota}, trs, nil)
+	// unrelated point, then restore the snapshot over it.
+	m, _ := mustBuild(t, w, spec, trs, nil)
 	if err := m.warm(ctx, 1234); err != nil {
 		t.Fatal(err)
 	}
 	for i, c := range m.cpus {
-		c.Restore(&cp.CPU[i])
+		c.Restore(&cp.cpu[i])
 	}
-	m.unc.Restore(&cp.Uncore)
-	targets := make([]uint64, len(m.cores))
-	for i := range targets {
-		targets[i] = cp.Quota
-	}
-	reached := append([]bool(nil), cp.Reached...)
-	quotaCycle := append([]uint64(nil), cp.QuotaCycle...)
-	if err := schedule(ctx, m.cores, targets, never, reached, quotaCycle, nil); err != nil {
+	m.unc.Restore(&cp.uncore)
+	dirty, err := m.measure(ctx, w, cp.policy, quota)
+	if err != nil {
 		t.Fatal(err)
 	}
-	assertBitIdentical(t, "dirty restore", assemble(cp.Workload, cp.Policy, quotaCycle, cp.Quota), uninterrupted)
+	assertBitIdentical(t, "dirty restore", dirty, uninterrupted)
 }
 
 // TestGoldenWarmupSnapshotRestore pins warmup + restore + measure to the
@@ -254,7 +165,7 @@ func TestGoldenSharedWarmupPolicySweep(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		ref, err := m.measure(ctx, w, pol, quota, nil)
+		ref, err := m.measure(ctx, w, pol, quota)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,9 +25,8 @@
 //   - target < cap is a sampled window: a core that crosses runs on,
 //     timed, into its next gap and halts before the next warmup region.
 //
-// Targets are per core, and crossing flags can be carried in, so a
-// restored or resumed run continues exactly where its snapshot left off;
-// an optional hook captures the whole machine every so many cycles.
+// Targets are per core, so a run restored from a warmup snapshot
+// measures from wherever each thread stood at the boundary.
 package multicore
 
 import (
@@ -259,22 +258,12 @@ const cancelCheckMask = 1023
 // results.
 const soloChunkCycles = 1 << 18
 
-// captureHook asks schedule to call fn between batches whenever the
-// minimum local clock crosses a multiple of every cycles. fn sees the
-// loop's reached flags and crossing clocks as they stand.
-type captureHook struct {
-	every uint64
-	fn    func(reached []bool, cross []uint64) error
-}
-
 // schedule is the one scheduling loop (see the package comment for the
 // target/cap contract). It advances the cores on the
 // smallest-local-clock-first discipline until every core has committed
-// at least targets[i] µops, sets reached[i] and records the core's clock
-// in cross[i] at that crossing, and lets a core that has crossed run on
-// until it has committed cap µops. Every target must be at most cap.
-// reached and cross carry progress in and out: a core already marked
-// reached keeps its recorded crossing.
+// at least targets[i] µops, records the core's clock in cross[i] at
+// that crossing, and lets a core that has crossed run on until it has
+// committed cap µops. Every target must be at most cap.
 //
 // It reproduces the schedule of stepping the minimum-clock core one µop
 // at a time, but dispatches whole batches: a core's local clock never
@@ -285,18 +274,18 @@ type captureHook struct {
 // interface dispatch and one scheduling decision per batch instead of
 // per simulated µop. Between batches a single pass over the cached
 // clocks carries the pick and the runner-up through a 2-element
-// tournament. Batch boundaries never change the simulated state, so the
-// hook only ever captures states the per-step schedule passes through.
-func schedule(ctx context.Context, cores []stepper, targets []uint64, cap uint64, reached []bool, cross []uint64, hook *captureHook) error {
+// tournament. Batch boundaries never change the simulated state.
+func schedule(ctx context.Context, cores []stepper, targets []uint64, cap uint64, cross []uint64) error {
 	n := len(cores)
 	done := ctx.Done()
 	// clocks caches each core's local clock; a core that has reached cap
 	// leaves the pick set by reading never.
 	clocks := make([]uint64, n)
+	reached := make([]bool, n)
 	remaining := 0
 	for i, c := range cores {
 		clocks[i] = c.Now()
-		if !reached[i] && c.Committed() >= targets[i] {
+		if c.Committed() >= targets[i] {
 			reached[i] = true
 			cross[i] = clocks[i]
 		}
@@ -306,10 +295,6 @@ func schedule(ctx context.Context, cores []stepper, targets []uint64, cap uint64
 		if c.Committed() >= cap {
 			clocks[i] = never
 		}
-	}
-	var nextCap uint64
-	if hook != nil {
-		nextCap = (minClock(clocks)/hook.every + 1) * hook.every
 	}
 	for batch := 0; remaining > 0; batch++ {
 		// One pass, ties to the lower index: m is the core the per-step
@@ -363,26 +348,8 @@ func schedule(ctx context.Context, cores []stepper, targets []uint64, cap uint64
 				}
 			}
 		}
-		if hook != nil {
-			if min := minClock(clocks); min >= nextCap {
-				if err := hook.fn(reached, cross); err != nil {
-					return err
-				}
-				nextCap = (min/hook.every + 1) * hook.every
-			}
-		}
 	}
 	return nil
-}
-
-func minClock(clocks []uint64) uint64 {
-	min := clocks[0]
-	for _, cl := range clocks[1:] {
-		if cl < min {
-			min = cl
-		}
-	}
-	return min
 }
 
 // ---------------------------------------------------------------------------
@@ -469,7 +436,7 @@ func (m *machine) advance(ctx context.Context, target, cap uint64, cross []uint6
 	for i := range targets {
 		targets[i] = target
 	}
-	return schedule(ctx, m.cores, targets, cap, make([]bool, len(m.cores)), cross, nil)
+	return schedule(ctx, m.cores, targets, cap, cross)
 }
 
 // warm runs every thread to warmup committed µops, halting each at the
@@ -482,7 +449,7 @@ func (m *machine) warm(ctx context.Context, warmup uint64) error {
 // measure runs quota further µops per thread from the machine's current
 // state (reset, warmed or restored) and reports each thread's cycles
 // from its own clock at the start.
-func (m *machine) measure(ctx context.Context, w Workload, policy cache.PolicyName, quota uint64, hook *captureHook) (Result, error) {
+func (m *machine) measure(ctx context.Context, w Workload, policy cache.PolicyName, quota uint64) (Result, error) {
 	n := len(m.cores)
 	targets := make([]uint64, n)
 	start := make([]uint64, n)
@@ -492,7 +459,7 @@ func (m *machine) measure(ctx context.Context, w Workload, policy cache.PolicyNa
 	}
 	cross := make([]uint64, n)
 	stop := telemetry.FromContext(ctx).Time(phaseMeasure)
-	err := schedule(ctx, m.cores, targets, never, make([]bool, n), cross, hook)
+	err := schedule(ctx, m.cores, targets, never, cross)
 	stop()
 	if err != nil {
 		return Result{}, err
@@ -532,7 +499,7 @@ func Run(ctx context.Context, w Workload, spec Spec, traces TraceSource, models 
 			return Result{}, err
 		}
 	}
-	return m.measure(ctx, w, spec.Policy, spec.Quota, nil)
+	return m.measure(ctx, w, spec.Policy, spec.Quota)
 }
 
 // Sweep runs the spec over many workloads in parallel across the shared

@@ -67,7 +67,7 @@ func runToBoundaryReference(_ context.Context, cores []stepper, warmup uint64) e
 
 // runInterleavedFromReference is the per-step continuation of a restored
 // or two-stage run: pick the smallest-clock core, step it one µop, record
-// per-core target crossings into the carried-in reached/quotaCycle.
+// per-core target crossings into reached/quotaCycle.
 func runInterleavedFromReference(_ context.Context, cores []stepper, targets []uint64, reached []bool, quotaCycle []uint64) error {
 	remaining := 0
 	for _, r := range reached {
@@ -127,13 +127,11 @@ func referenceRun(t *testing.T, w Workload, spec Spec, trs TraceSource, mods map
 
 // warmCheckpoint warms the spec's machine to spec.Warmup µops per thread
 // and snapshots it, the shared prefix measureFrom measures from.
-func warmCheckpoint(t *testing.T, w Workload, spec Spec, trs TraceSource, mods map[string]*badco.Model) *Checkpoint {
+func warmCheckpoint(t *testing.T, w Workload, spec Spec, trs TraceSource, mods map[string]*badco.Model) *checkpoint {
 	t.Helper()
 	m, _ := mustBuild(t, w, spec, trs, mods)
 	if err := m.warm(context.Background(), spec.Warmup); err != nil {
 		t.Fatal(err)
 	}
-	cp := &Checkpoint{Workload: w, Policy: spec.Policy}
-	m.capture(cp, nil, nil)
-	return cp
+	return m.capture(w, spec.Policy)
 }

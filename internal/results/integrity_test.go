@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"mcbench/internal/faultinject"
-	"mcbench/internal/multicore"
 )
 
 // TestFooterRoundTrip pins the footer codec on itself.
@@ -64,7 +63,7 @@ func TestSavedFilesCarryFooter(t *testing.T) {
 	if err := json.Unmarshal(payload, &got); err != nil {
 		t.Fatalf("payload before footer is not plain JSON: %v", err)
 	}
-	if !got.sameIdentity(want) {
+	if got.Identity != want.Identity {
 		t.Error("payload identity changed through Save")
 	}
 }
@@ -82,11 +81,11 @@ func TestLegacyFileWithoutFooterLoads(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, want.Key()+".json"), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err := s.Load(*want)
+	got, ok, err := s.Load(want.Identity)
 	if err != nil || !ok {
 		t.Fatalf("legacy file did not load: ok=%v err=%v", ok, err)
 	}
-	if !got.sameIdentity(want) {
+	if got.Identity != want.Identity {
 		t.Error("legacy load changed identity")
 	}
 	// And List must not call it corrupt.
@@ -120,7 +119,7 @@ func TestTornWriteEveryBoundary(t *testing.T) {
 		if err != nil {
 			t.Fatalf("torn file at %d bytes broke Open: %v", n, err)
 		}
-		got, ok, err := s.Load(*want)
+		got, ok, err := s.Load(want.Identity)
 		if err != nil {
 			t.Fatalf("torn file at %d bytes made Load error: %v", n, err)
 		}
@@ -131,7 +130,7 @@ func TestTornWriteEveryBoundary(t *testing.T) {
 			if n != len(payload) && n != len(payload)+1 {
 				t.Fatalf("torn file at %d of %d bytes served a table", n, len(full))
 			}
-			if !got.sameIdentity(want) {
+			if got.Identity != want.Identity {
 				t.Fatalf("torn file at %d bytes served a WRONG table", n)
 			}
 			continue
@@ -161,7 +160,7 @@ func TestListReportsQuarantined(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, bad.Key()+".json"), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := s.Load(*bad); ok || err != nil {
+	if _, ok, err := s.Load(bad.Identity); ok || err != nil {
 		t.Fatalf("corrupt load: ok=%v err=%v", ok, err)
 	}
 	entries, err := s.List()
@@ -201,7 +200,7 @@ func TestQuarantineKeepsGenerations(t *testing.T) {
 		if err := os.WriteFile(path, []byte("garbage"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok, _ := s.Load(*want); ok {
+		if _, ok, _ := s.Load(want.Identity); ok {
 			t.Fatal("corrupt file served")
 		}
 	}
@@ -209,90 +208,6 @@ func TestQuarantineKeepsGenerations(t *testing.T) {
 	entries, err := os.ReadDir(qdir)
 	if err != nil || len(entries) != 2 {
 		t.Fatalf("quarantine holds %d files, want 2 (err %v)", len(entries), err)
-	}
-}
-
-// checkpoint returns a minimal valid checkpoint for persistence tests.
-func checkpoint() *multicore.Checkpoint {
-	return &multicore.Checkpoint{Workload: []string{"a", "b"}}
-}
-
-// TestCheckpointFooterRoundTrip pins SaveCheckpoint/LoadCheckpoint
-// through the footer.
-func TestCheckpointFooterRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := Open(dir)
-	if err := s.SaveCheckpoint("run", checkpoint()); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "run"+checkpointExt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, hasFooter, valid := splitFooter(data); !hasFooter || !valid {
-		t.Fatalf("checkpoint footer: has=%v valid=%v", hasFooter, valid)
-	}
-	cp, ok, err := s.LoadCheckpoint("run")
-	if err != nil || !ok || len(cp.Workload) != 2 {
-		t.Fatalf("LoadCheckpoint = %+v, %v, %v", cp, ok, err)
-	}
-}
-
-// TestCorruptCheckpointQuarantined pins the resume-safety contract: a
-// torn or garbled checkpoint reports absent (resume from scratch), never
-// an error and never garbage machine state, and moves to quarantine.
-func TestCorruptCheckpointQuarantined(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := Open(dir)
-	if err := s.SaveCheckpoint("run", checkpoint()); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "run"+checkpointExt)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cp, ok, err := s.LoadCheckpoint("run")
-	if err != nil || ok || cp != nil {
-		t.Fatalf("corrupt checkpoint: %+v, %v, %v; want miss", cp, ok, err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, QuarantineDir, "run"+checkpointExt)); err != nil {
-		t.Errorf("corrupt checkpoint not quarantined: %v", err)
-	}
-	// Re-save and reload cleanly.
-	if err := s.SaveCheckpoint("run", checkpoint()); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := s.LoadCheckpoint("run"); err != nil || !ok {
-		t.Fatalf("reload after recompute: %v, %v", ok, err)
-	}
-}
-
-// TestLegacyCheckpointLoads pins that a footer-less gob checkpoint from
-// an older version still loads.
-func TestLegacyCheckpointLoads(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := Open(dir)
-	if err := s.SaveCheckpoint("run", checkpoint()); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "run"+checkpointExt)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, hasFooter, _ := splitFooter(data)
-	if !hasFooter {
-		t.Fatal("fresh checkpoint has no footer")
-	}
-	if err := os.WriteFile(path, payload, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if cp, ok, err := s.LoadCheckpoint("run"); err != nil || !ok || len(cp.Workload) != 2 {
-		t.Fatalf("legacy checkpoint: %+v, %v, %v", cp, ok, err)
 	}
 }
 
@@ -325,7 +240,7 @@ func TestInjectedSaveFaults(t *testing.T) {
 	if p.Injected("results.save.write") == 0 {
 		t.Fatal("torn-write fault did not fire")
 	}
-	got, ok, err := s.Load(*want)
+	got, ok, err := s.Load(want.Identity)
 	if err != nil || ok || got != nil {
 		t.Fatalf("torn file served: %v, %v, %v", got, ok, err)
 	}
@@ -336,7 +251,7 @@ func TestInjectedSaveFaults(t *testing.T) {
 	if err := s.Save(want); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := s.Load(*want); err != nil || !ok {
+	if _, ok, err := s.Load(want.Identity); err != nil || !ok {
 		t.Fatalf("heal failed: %v, %v", ok, err)
 	}
 }

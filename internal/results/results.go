@@ -1,8 +1,9 @@
 // Package results persists the expensive intermediate products of the
 // experimental campaign — per-workload per-core IPC tables — as JSON, so
 // population sweeps survive across process runs. A Store is keyed by
-// (simulator, core count, policy, trace length, population size); any
-// parameter change invalidates the entry by construction of the key.
+// the table's Identity (simulator, core count, policy, trace length,
+// population size, ..., model fingerprint); any parameter change
+// invalidates the entry by construction.
 package results
 
 import (
@@ -21,11 +22,15 @@ import (
 	"time"
 
 	"mcbench/internal/faultinject"
+	"mcbench/internal/multicore"
 	"mcbench/internal/telemetry"
 )
 
-// IPCTable is one sweep result: row per workload, column per core.
-type IPCTable struct {
+// Identity is everything a persisted IPC table was computed under. Two
+// tables are interchangeable exactly when their identities are equal:
+// Load serves a stored table only for its own identity, and every store
+// key, fleet shard key and fleet join check derives from this one type.
+type Identity struct {
 	Simulator  string `json:"simulator"` // "detailed" or "badco"
 	Cores      int    `json:"cores"`
 	Policy     string `json:"policy"`
@@ -54,11 +59,23 @@ type IPCTable struct {
 	// pre-sampling keys and files unchanged. A sampled table is an
 	// *estimate*, so the spec is identity: an exact and a sampled sweep
 	// of the same configuration must never share a cache entry.
-	SampleUnit   int         `json:"sample_unit,omitempty"`
-	SampleWindow int         `json:"sample_window,omitempty"`
-	SampleWarmup int         `json:"sample_warmup,omitempty"`
-	SampleWarm   int         `json:"sample_warm,omitempty"`
-	IPC          [][]float64 `json:"ipc"`
+	SampleUnit   int `json:"sample_unit,omitempty"`
+	SampleWindow int `json:"sample_window,omitempty"`
+	SampleWarmup int `json:"sample_warmup,omitempty"`
+	SampleWarm   int `json:"sample_warm,omitempty"`
+	// Model is the fingerprint of the simulator model that computed the
+	// table (multicore.Fingerprint). It is identity but not part of Key:
+	// a table computed under another model keeps its file name and reads
+	// as a miss, so the recompute overwrites it. Tables written before
+	// fingerprints existed carry none and are recomputed once.
+	Model string `json:"model,omitempty"`
+}
+
+// IPCTable is one sweep result: row per workload, column per core. The
+// embedded identity flattens into the stored JSON.
+type IPCTable struct {
+	Identity
+	IPC [][]float64 `json:"ipc"`
 	// CI and CV carry the per-workload per-core confidence half-interval
 	// and coefficient of variation of sampled sweeps (same shape as IPC);
 	// both are empty for exact sweeps, whose IPC is not an estimate.
@@ -66,30 +83,46 @@ type IPCTable struct {
 	CV [][]float64 `json:"cv,omitempty"`
 }
 
-// Key returns the table's filename-safe identity. Non-default sources
+// Sampling returns the sampling spec the identity records.
+func (id Identity) Sampling() multicore.SamplingSpec {
+	return multicore.SamplingSpec{
+		Unit: uint64(id.SampleUnit), Window: uint64(id.SampleWindow),
+		Warmup: uint64(id.SampleWarmup), Warm: uint64(id.SampleWarm),
+	}
+}
+
+// SetSampling records a sampling spec in the identity (the zero spec
+// records an exact sweep).
+func (id *Identity) SetSampling(s multicore.SamplingSpec) {
+	id.SampleUnit, id.SampleWindow = int(s.Unit), int(s.Window)
+	id.SampleWarmup, id.SampleWarm = int(s.Warmup), int(s.Warm)
+}
+
+// Key returns the identity's filename-safe form. Non-default sources
 // append their sanitized name plus a short hash of the raw name:
 // sanitization is lossy ("dir:a/b" and "dir:a_b" collapse), and
 // without the hash two such sources would alternately clobber each
-// other's cache file.
-func (t *IPCTable) Key() string {
+// other's cache file. The model fingerprint is left out, so a table
+// recomputed under a new model replaces the old file in place.
+func (id Identity) Key() string {
 	key := fmt.Sprintf("%s-c%d-%s-l%d-p%d-s%d",
-		t.Simulator, t.Cores, t.Policy, t.TraceLen, t.Population, t.Seed)
-	if t.Universe > 0 {
-		key += fmt.Sprintf("-u%d", t.Universe)
+		id.Simulator, id.Cores, id.Policy, id.TraceLen, id.Population, id.Seed)
+	if id.Universe > 0 {
+		key += fmt.Sprintf("-u%d", id.Universe)
 	}
-	if t.Warmup > 0 {
-		key += fmt.Sprintf("-w%d", t.Warmup)
+	if id.Warmup > 0 {
+		key += fmt.Sprintf("-w%d", id.Warmup)
 	}
-	if t.SampleUnit > 0 {
-		key += fmt.Sprintf("-smpu%dd%dw%d", t.SampleUnit, t.SampleWindow, t.SampleWarmup)
-		if t.SampleWarm > 0 {
-			key += fmt.Sprintf("f%d", t.SampleWarm)
+	if id.SampleUnit > 0 {
+		key += fmt.Sprintf("-smpu%dd%dw%d", id.SampleUnit, id.SampleWindow, id.SampleWarmup)
+		if id.SampleWarm > 0 {
+			key += fmt.Sprintf("f%d", id.SampleWarm)
 		}
 	}
-	if t.Source != "" {
+	if id.Source != "" {
 		h := fnv.New32a()
-		h.Write([]byte(t.Source))
-		key += fmt.Sprintf("-%s-%08x", sanitize(t.Source), h.Sum32())
+		h.Write([]byte(id.Source))
+		key += fmt.Sprintf("-%s-%08x", sanitize(id.Source), h.Sum32())
 	}
 	return key
 }
@@ -136,20 +169,8 @@ func (t *IPCTable) Validate() error {
 	if t.SampleUnit < 0 || t.SampleWindow < 0 || t.SampleWarmup < 0 || t.SampleWarm < 0 {
 		return fmt.Errorf("results: negative sampling field")
 	}
-	if t.SampleUnit > 0 {
-		if t.SampleWindow == 0 {
-			return fmt.Errorf("results: sampled table without a window")
-		}
-		if t.SampleWindow+t.SampleWarmup > t.SampleUnit {
-			return fmt.Errorf("results: sampling window %d + warmup %d exceed unit %d",
-				t.SampleWindow, t.SampleWarmup, t.SampleUnit)
-		}
-		if t.SampleWarm > t.SampleUnit-t.SampleWindow-t.SampleWarmup {
-			return fmt.Errorf("results: sampling warm %d exceeds gap %d",
-				t.SampleWarm, t.SampleUnit-t.SampleWindow-t.SampleWarmup)
-		}
-	} else if t.SampleWindow != 0 || t.SampleWarmup != 0 || t.SampleWarm != 0 {
-		return fmt.Errorf("results: sampling window/warmup set without a unit")
+	if err := t.Sampling().Validate(); err != nil {
+		return fmt.Errorf("results: %w", err)
 	}
 	for name, col := range map[string][][]float64{"ci": t.CI, "cv": t.CV} {
 		if len(col) == 0 {
@@ -292,8 +313,8 @@ func (s *Store) path(key string) string {
 // Integrity footer. Every file the store writes ends with a fixed-width
 // CRC32-C line over the payload that precedes it, so Load can tell a
 // complete table from a torn or bit-flipped one before decoding. The
-// footer sits *after* the payload (a trailing line a JSON or gob decoder
-// never reaches), so files written by older versions — no footer at all —
+// footer sits *after* the payload (a trailing line a JSON decoder never
+// reaches), so files written by older versions — no footer at all —
 // keep loading unchanged; only a present-but-wrong footer is corruption.
 const (
 	footerMagic = "\nmcbench-crc32:"
@@ -395,7 +416,7 @@ func (s *Store) Save(t *IPCTable) error {
 		return fmt.Errorf("results: %w", err)
 	}
 	start := time.Now()
-	if err := s.publish(t.Key()+"-*.tmp", s.path(t.Key()), appendFooter(data), "results.save.write"); err != nil {
+	if err := s.publish(t.Key(), appendFooter(data), "results.save.write"); err != nil {
 		return err
 	}
 	tel := s.tel.Load()
@@ -405,10 +426,11 @@ func (s *Store) Save(t *IPCTable) error {
 }
 
 // publish stages buf through a uniquely named temp file and renames it
-// onto dst, fsyncing the file before and the directory after the rename.
-// tornSite names the fault-injection point that may tear the write.
-func (s *Store) publish(tmpPattern, dst string, buf []byte, tornSite string) error {
-	tmp, err := os.CreateTemp(s.dir, tmpPattern)
+// onto key's file, fsyncing the file before and the directory after the
+// rename. tornSite names the fault-injection point that may tear the
+// write.
+func (s *Store) publish(key string, buf []byte, tornSite string) error {
+	tmp, err := os.CreateTemp(s.dir, key+"-*.tmp")
 	if err != nil {
 		return fmt.Errorf("results: %w", err)
 	}
@@ -435,7 +457,7 @@ func (s *Store) publish(tmpPattern, dst string, buf []byte, tornSite string) err
 		os.Remove(tmp.Name())
 		return fmt.Errorf("results: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
+	if err := os.Rename(tmp.Name(), s.path(key)); err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("results: %w", err)
 	}
@@ -446,17 +468,20 @@ func (s *Store) publish(tmpPattern, dst string, buf []byte, tornSite string) err
 }
 
 // Load reads the table with the given identity; ok is false when absent.
+// A stored table with a different identity under the same key — another
+// source whose name sanitizes alike, or a table computed under another
+// model fingerprint — is a plain miss: the recompute overwrites it.
 // A corrupt file — torn write, bit flip, failed checksum, undecodable or
 // structurally invalid content — is quarantined into QuarantineDir and
 // reported as absent, never as an error and never as a wrong table: the
 // caller recomputes and the next Save republishes a good file.
 //
 // Fault-injection site: "results.load" (fail the read as an I/O error).
-func (s *Store) Load(proto IPCTable) (*IPCTable, bool, error) {
-	path := s.path(proto.Key())
+func (s *Store) Load(id Identity) (*IPCTable, bool, error) {
+	path := s.path(id.Key())
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return s.loadRemote(proto)
+		return s.loadRemote(id)
 	}
 	if err != nil {
 		return nil, false, fmt.Errorf("results: %w", err)
@@ -464,28 +489,18 @@ func (s *Store) Load(proto IPCTable) (*IPCTable, bool, error) {
 	if err := faultinject.Error("results.load"); err != nil {
 		return nil, false, fmt.Errorf("results: %w", err)
 	}
-	payload, hasFooter, valid := splitFooter(data)
-	if hasFooter && !valid {
+	t, ok := decode(data, true)
+	if !ok {
 		s.quarantine(path)
-		return s.loadRemote(proto)
+		return s.loadRemote(id)
 	}
-	var t IPCTable
-	if err := json.Unmarshal(payload, &t); err != nil {
-		s.quarantine(path)
-		return s.loadRemote(proto)
-	}
-	if err := t.Validate(); err != nil {
-		s.quarantine(path)
-		return s.loadRemote(proto)
-	}
-	if !t.sameIdentity(&proto) {
-		// Not corruption: sanitize collapses distinct source names onto
-		// one filename, and this file is the *other* source's valid
+	if t.Identity != id {
+		// Not corruption: another source's or another model's valid
 		// table. Report a miss; the recompute will overwrite it.
-		return s.loadRemote(proto)
+		return s.loadRemote(id)
 	}
 	s.tel.Load().loadHits.Inc()
-	return &t, true, nil
+	return t, true, nil
 }
 
 // loadRemote consults the read-through fetcher after a local miss. Every
@@ -497,8 +512,8 @@ func (s *Store) Load(proto IPCTable) (*IPCTable, bool, error) {
 // a local hit.
 //
 // Fault-injection site: "results.fetch.write" (tear the local republish).
-func (s *Store) loadRemote(proto IPCTable) (*IPCTable, bool, error) {
-	t, ok := s.fetchRemote(proto)
+func (s *Store) loadRemote(id Identity) (*IPCTable, bool, error) {
+	t, ok := s.fetchRemote(id)
 	tel := s.tel.Load()
 	if ok {
 		tel.readThrough.Inc()
@@ -509,14 +524,14 @@ func (s *Store) loadRemote(proto IPCTable) (*IPCTable, bool, error) {
 }
 
 // fetchRemote is loadRemote's uncounted body: fetch, verify, republish.
-func (s *Store) fetchRemote(proto IPCTable) (*IPCTable, bool) {
+func (s *Store) fetchRemote(id Identity) (*IPCTable, bool) {
 	s.mu.Lock()
 	fetch := s.fetch
 	s.mu.Unlock()
 	if fetch == nil {
 		return nil, false
 	}
-	key := proto.Key()
+	key := id.Key()
 	data, ok, err := fetch(key)
 	if err != nil || !ok {
 		return nil, false
@@ -524,18 +539,27 @@ func (s *Store) fetchRemote(proto IPCTable) (*IPCTable, bool) {
 	// Stricter than local loads: ReadRaw stamps a footer on every wire
 	// response, so footer-less remote bytes are not legacy files — they
 	// are truncation or a non-store response, and are rejected.
+	t, ok := decode(data, false)
+	if !ok || t.Identity != id {
+		return nil, false
+	}
+	s.publish(key, data, "results.fetch.write")
+	return t, true
+}
+
+// decode verifies and decodes stored bytes. ok is false for a torn or
+// bit-flipped file (present-but-wrong footer), undecodable content or a
+// structurally invalid table; footer-less bytes are accepted only when
+// legacy is set (files written before footers existed).
+func decode(data []byte, legacy bool) (*IPCTable, bool) {
 	payload, hasFooter, valid := splitFooter(data)
-	if !hasFooter || !valid {
+	if hasFooter && !valid || !hasFooter && !legacy {
 		return nil, false
 	}
 	var t IPCTable
-	if err := json.Unmarshal(payload, &t); err != nil {
+	if json.Unmarshal(payload, &t) != nil || t.Validate() != nil {
 		return nil, false
 	}
-	if t.Validate() != nil || !t.sameIdentity(&proto) {
-		return nil, false
-	}
-	s.publish(key+"-*.tmp", s.path(key), data, "results.fetch.write")
 	return &t, true
 }
 
@@ -547,19 +571,7 @@ var ErrBadKey = errors.New("results: invalid key")
 // confined to the same alphabet sanitize emits, which by construction
 // excludes path separators and dot-traversal.
 func validKey(key string) bool {
-	if key == "" || key == "." || key == ".." {
-		return false
-	}
-	for i := 0; i < len(key); i++ {
-		c := key[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
-			c == '.', c == '-', c == '_':
-		default:
-			return false
-		}
-	}
-	return true
+	return key != "" && key != "." && key != ".." && sanitize(key) == key
 }
 
 // ReadRaw returns the stored bytes of key exactly as a remote peer must
@@ -591,20 +603,6 @@ func (s *Store) ReadRaw(key string) ([]byte, bool, error) {
 	return data, true, nil
 }
 
-// sameIdentity compares the raw identity fields, not the filename-safe
-// key: sanitize collapses distinct source names ("dir:a/b" and
-// "dir:a_b") onto one file name, and the raw comparison is what keeps
-// such a collision from silently serving the other source's table.
-func (t *IPCTable) sameIdentity(o *IPCTable) bool {
-	return t.Simulator == o.Simulator && t.Cores == o.Cores &&
-		t.Policy == o.Policy && t.TraceLen == o.TraceLen &&
-		t.Population == o.Population && t.Seed == o.Seed &&
-		t.Universe == o.Universe && t.Source == o.Source &&
-		t.Warmup == o.Warmup &&
-		t.SampleUnit == o.SampleUnit && t.SampleWindow == o.SampleWindow &&
-		t.SampleWarmup == o.SampleWarmup && t.SampleWarm == o.SampleWarm
-}
-
 // Entry describes one stored table for listings: the filename key plus
 // the raw identity fields, so a cache browser can report what a
 // directory actually holds. Keys() alone cannot — sanitize is lossy, so
@@ -612,9 +610,8 @@ func (t *IPCTable) sameIdentity(o *IPCTable) bool {
 type Entry struct {
 	// Key is the filename-safe identity (the stored file is Key+".json").
 	Key string `json:"key"`
-	// Table carries the identity fields of the stored table — simulator,
-	// cores, policy, trace length, population, seed, universe, source —
-	// with the IPC rows dropped (Population still records the row count).
+	// Table carries the identity of the stored table with the IPC rows
+	// dropped (Population still records the row count).
 	Table IPCTable `json:"table"`
 	// Bytes and ModTime describe the file itself.
 	Bytes   int64     `json:"bytes"`
@@ -629,25 +626,6 @@ type Entry struct {
 	// listed (they tell an operator data was lost to corruption and
 	// recomputed) but never served.
 	Quarantined bool `json:"quarantined,omitempty"`
-}
-
-// tableIdentity mirrors IPCTable's identity fields without the IPC
-// rows, so listing a store never materialises the (potentially
-// multi-megabyte) row arrays of every table it describes.
-type tableIdentity struct {
-	Simulator    string `json:"simulator"`
-	Cores        int    `json:"cores"`
-	Policy       string `json:"policy"`
-	TraceLen     int    `json:"trace_len"`
-	Population   int    `json:"population"`
-	Seed         int64  `json:"seed"`
-	Universe     int    `json:"universe,omitempty"`
-	Source       string `json:"source,omitempty"`
-	Warmup       int    `json:"warmup,omitempty"`
-	SampleUnit   int    `json:"sample_unit,omitempty"`
-	SampleWindow int    `json:"sample_window,omitempty"`
-	SampleWarmup int    `json:"sample_warmup,omitempty"`
-	SampleWarm   int    `json:"sample_warm,omitempty"`
 }
 
 // List returns one identity-preserving entry per stored table, sorted by
@@ -736,22 +714,14 @@ func (e *Entry) decodeIdentity(path string) {
 		e.Corrupt = true
 		return
 	}
-	var id tableIdentity
-	t := IPCTable{}
-	if json.Unmarshal(payload, &id) == nil {
-		t = IPCTable{
-			Simulator: id.Simulator, Cores: id.Cores, Policy: id.Policy,
-			TraceLen: id.TraceLen, Population: id.Population, Seed: id.Seed,
-			Universe: id.Universe, Source: id.Source, Warmup: id.Warmup,
-			SampleUnit: id.SampleUnit, SampleWindow: id.SampleWindow,
-			SampleWarmup: id.SampleWarmup, SampleWarm: id.SampleWarm,
-		}
-	}
-	if t.Simulator == "" || t.Key() != e.Key {
+	// Decoding into the identity alone skips the (potentially
+	// multi-megabyte) IPC rows.
+	var id Identity
+	if json.Unmarshal(payload, &id) != nil || id.Simulator == "" || id.Key() != e.Key {
 		e.Corrupt = true
 		return
 	}
-	e.Table = t
+	e.Table = IPCTable{Identity: id}
 }
 
 // Keys lists the stored table keys, sorted.

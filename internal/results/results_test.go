@@ -11,13 +11,15 @@ import (
 
 func table() *IPCTable {
 	return &IPCTable{
-		Simulator:  "badco",
-		Cores:      2,
-		Policy:     "LRU",
-		TraceLen:   1000,
-		Population: 3,
-		Seed:       7,
-		IPC:        [][]float64{{1, 2}, {0.5, 1.5}, {2, 2}},
+		Identity: Identity{
+			Simulator:  "badco",
+			Cores:      2,
+			Policy:     "LRU",
+			TraceLen:   1000,
+			Population: 3,
+			Seed:       7,
+		},
+		IPC: [][]float64{{1, 2}, {0.5, 1.5}, {2, 2}},
 	}
 }
 
@@ -30,7 +32,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := s.Save(want); err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err := s.Load(IPCTable{
+	got, ok, err := s.Load(Identity{
 		Simulator: "badco", Cores: 2, Policy: "LRU", TraceLen: 1000, Population: 3, Seed: 7,
 	})
 	if err != nil || !ok {
@@ -47,7 +49,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 func TestLoadAbsent(t *testing.T) {
 	s, _ := Open(t.TempDir())
-	_, ok, err := s.Load(IPCTable{Simulator: "x", Cores: 1, Policy: "LRU", TraceLen: 1, Population: 0})
+	_, ok, err := s.Load(Identity{Simulator: "x", Cores: 1, Policy: "LRU", TraceLen: 1, Population: 0})
 	if err != nil || ok {
 		t.Fatalf("absent load: ok=%v err=%v", ok, err)
 	}
@@ -111,7 +113,7 @@ func TestCorruptFile(t *testing.T) {
 	}
 	// Corruption is a miss, never an error and never a wrong table: the
 	// caller recomputes while the bad file moves to quarantine.
-	got, ok, err := s.Load(*want)
+	got, ok, err := s.Load(want.Identity)
 	if err != nil || ok || got != nil {
 		t.Fatalf("Load(corrupt) = %v, %v, %v; want miss", got, ok, err)
 	}
@@ -126,7 +128,7 @@ func TestCorruptFile(t *testing.T) {
 	if err := s.Save(want); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok, err := s.Load(*want); err != nil || !ok || got == nil {
+	if got, ok, err := s.Load(want.Identity); err != nil || !ok || got == nil {
 		t.Fatalf("reload after recompute = %v, %v, %v", got, ok, err)
 	}
 }
@@ -175,10 +177,7 @@ func TestConcurrentSaveLoadSameKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := table()
-	proto := IPCTable{
-		Simulator: want.Simulator, Cores: want.Cores, Policy: want.Policy,
-		TraceLen: want.TraceLen, Population: want.Population, Seed: want.Seed,
-	}
+	proto := want.Identity
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
@@ -396,10 +395,10 @@ func TestSampledTableRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// An exact request must miss the sampled entry.
-	if _, ok, err := s.Load(*table()); err != nil || ok {
+	if _, ok, err := s.Load(table().Identity); err != nil || ok {
 		t.Fatalf("exact request served a sampled table: ok=%v err=%v", ok, err)
 	}
-	got, ok, err := s.Load(*want)
+	got, ok, err := s.Load(want.Identity)
 	if err != nil || !ok {
 		t.Fatalf("Load: ok=%v err=%v", ok, err)
 	}
@@ -477,5 +476,105 @@ func TestValidateRejectsBadSampledTables(t *testing.T) {
 	}
 	if err := sampledTable().Validate(); err != nil {
 		t.Errorf("Validate rejected good sampled table: %v", err)
+	}
+}
+
+// TestWarmupKeyedSeparately pins that warmed tables live under their own
+// cache keys while zero-warmup keys keep the historic format, so files
+// persisted before warmup existed stay loadable.
+func TestWarmupKeyedSeparately(t *testing.T) {
+	a := table()
+	if got, want := a.Key(), "badco-c2-LRU-l1000-p3-s7"; got != want {
+		t.Fatalf("zero-warmup key %q, want historic %q", got, want)
+	}
+	b := table()
+	b.Warmup = 500
+	if a.Key() == b.Key() {
+		t.Fatalf("warmed and unwarmed tables share key %q", a.Key())
+	}
+
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Save(a); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := s.Load(b.Identity); err != nil || ok {
+		t.Fatalf("warmed proto loaded the unwarmed table (ok=%v, err=%v)", ok, err)
+	}
+}
+
+// TestUnstampedTableBytesStable pins the persisted format across the
+// move of the identity fields into the embedded Identity: a table
+// without a model fingerprint marshals to the bytes, and keys to the
+// file name, that earlier versions wrote and read.
+func TestUnstampedTableBytesStable(t *testing.T) {
+	cases := []struct {
+		tab       *IPCTable
+		json, key string
+	}{
+		{table(),
+			`{"simulator":"badco","cores":2,"policy":"LRU","trace_len":1000,"population":3,"seed":7,"universe":9,"source":"scaled:64:7","warmup":100,"ipc":[[1,2],[0.5,1.5],[2,2]]}`,
+			"badco-c2-LRU-l1000-p3-s7-u9-w100-scaled_64_7-7b934576"},
+		{sampledTable(),
+			`{"simulator":"badco","cores":2,"policy":"LRU","trace_len":1000,"population":3,"seed":7,"universe":9,"source":"scaled:64:7","warmup":100,"sample_unit":10000,"sample_window":1000,"sample_warmup":1000,"ipc":[[1,2],[0.5,1.5],[2,2]],"ci":[[0.1,0.2],[0.1,0.1],[0.2,0.2]],"cv":[[0.3,0.4],[0.3,0.3],[0.4,0.4]]}`,
+			"badco-c2-LRU-l1000-p3-s7-u9-w100-smpu10000d1000w1000-scaled_64_7-7b934576"},
+	}
+	for _, c := range cases {
+		c.tab.Universe, c.tab.Source, c.tab.Warmup = 9, "scaled:64:7", 100
+		b, err := json.Marshal(c.tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(b) != c.json {
+			t.Errorf("marshal:\n got %s\nwant %s", b, c.json)
+		}
+		if got := c.tab.Key(); got != c.key {
+			t.Errorf("key %q, want %q", got, c.key)
+		}
+		// A fingerprint joins the identity but not the file name.
+		c.tab.Model = "0123456789abcdef"
+		if got := c.tab.Key(); got != c.key {
+			t.Errorf("stamped key %q, want %q", got, c.key)
+		}
+	}
+}
+
+// TestModelMismatchIsMiss pins the stale-model policy at the store: a
+// table stamped with another fingerprint, or with none (written before
+// fingerprints existed), is a plain miss for a stamped request — under
+// the same file name, which the recompute then overwrites.
+func TestModelMismatchIsMiss(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := Open(dir)
+	legacy := table()
+	if err := s.Save(legacy); err != nil {
+		t.Fatal(err)
+	}
+	want := legacy.Identity
+	want.Model = "0123456789abcdef"
+	if _, ok, err := s.Load(want); ok || err != nil {
+		t.Fatalf("unstamped table served to a stamped request: ok=%v err=%v", ok, err)
+	}
+	stamped := table()
+	stamped.Model = want.Model
+	if err := s.Save(stamped); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok, err := s.Load(want); !ok || err != nil || got.Model != want.Model {
+		t.Fatalf("stamped table not served: ok=%v err=%v", ok, err)
+	}
+	other := want
+	other.Model = "fedcba9876543210"
+	if _, ok, _ := s.Load(other); ok {
+		t.Fatal("table served across model fingerprints")
+	}
+	if keys, _ := s.Keys(); len(keys) != 1 {
+		t.Fatalf("store holds %v, want the one overwritten file", keys)
+	}
+	entries, _ := s.List()
+	if len(entries) != 1 || entries[0].Corrupt || entries[0].Table.Model != want.Model {
+		t.Fatalf("listing %+v, want the stamped identity", entries)
 	}
 }

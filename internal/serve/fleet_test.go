@@ -264,10 +264,8 @@ func waitPeers(t *testing.T, base string, want int) {
 // compatJoin is a join handshake matching startFleetNode's lab config.
 func compatJoin(addr string) fleet.JoinRequest {
 	labCfg := experiments.QuickConfig()
-	return fleet.JoinRequest{
-		Addr: addr, Build: buildinfo.Read(),
-		Source: "suite", TraceLen: 2000, Seed: labCfg.Seed, Warmup: labCfg.Warmup,
-	}
+	labCfg.TraceLen = 2000
+	return fleet.JoinRequest{Addr: addr, Build: buildinfo.Read(), Lab: experiments.NewLab(labCfg).Identity()}
 }
 
 // TestFleetJoinHandshake covers the membership wire protocol: a
@@ -319,9 +317,16 @@ func TestFleetJoinHandshake(t *testing.T) {
 
 	// Mixed lab configuration: same build, different trace length.
 	bad = compatJoin("127.0.0.1:3")
-	bad.TraceLen = 4096
+	bad.Lab.TraceLen = 4096
 	if resp, body = postJSON(t, coord.base+"/fleet/join", bad); resp.StatusCode != http.StatusConflict {
 		t.Errorf("mixed-lab join: %d %s, want 409", resp.StatusCode, body)
+	}
+	// Mixed model: same build and lab config, another simulator model
+	// fingerprint (two dirty builds of one revision).
+	bad = compatJoin("127.0.0.1:3")
+	bad.Lab.Model = "0000000000000000"
+	if resp, body = postJSON(t, coord.base+"/fleet/join", bad); resp.StatusCode != http.StatusConflict {
+		t.Errorf("mixed-model join: %d %s, want 409", resp.StatusCode, body)
 	}
 
 	// Heartbeats for unknown members 404 so reaped workers re-join.

@@ -104,25 +104,11 @@ type SimulateRequest struct {
 	Sampling *SampleSpec `json:"sampling,omitempty"`
 }
 
-// SampleSpec is the wire form of a systematic-sampling schedule (see
-// multicore.SamplingSpec): per Unit µops one Window of detailed
-// measurement after Warmup detailed warmup µops, the gap fast-forwarded
-// under functional warming (bounded to the last Warm µops when Warm is
-// non-zero).
-type SampleSpec struct {
-	Unit   uint64 `json:"unit"`
-	Window uint64 `json:"window"`
-	Warmup uint64 `json:"warmup,omitempty"`
-	Warm   uint64 `json:"warm,omitempty"`
-}
-
-// spec converts the wire form to the kernel's.
-func (s *SampleSpec) spec() multicore.SamplingSpec {
-	if s == nil {
-		return multicore.SamplingSpec{}
-	}
-	return multicore.SamplingSpec{Unit: s.Unit, Window: s.Window, Warmup: s.Warmup, Warm: s.Warm}
-}
+// SampleSpec is the wire form of a systematic-sampling schedule: per
+// Unit µops one Window of detailed measurement after Warmup detailed
+// warmup µops, the gap fast-forwarded under functional warming (bounded
+// to the last Warm µops when Warm is non-zero).
+type SampleSpec = multicore.SamplingSpec
 
 // SweepRequest is SimulateRequest over many workloads at once.
 type SweepRequest struct {
@@ -168,61 +154,8 @@ func canonicalize(req SubmitRequest, src bench.Source, traceLen int) (SubmitRequ
 		canon := SubmitRequest{Kind: KindExperiment, Experiment: &e}
 		return canon, fmt.Sprintf("exp|%s|c%d", e.Name, e.Cores), nil
 
-	case KindSimulate:
-		if req.Simulate == nil {
-			return req, "", badRequest("serve: simulate submission without payload")
-		}
-		s := *req.Simulate
-		w, policy, engine, err := canonSim(src, [][]string{s.Workload}, s.Policy, s.Engine, s.Cores)
-		if err != nil {
-			return req, "", err
-		}
-		if err := checkRun(runSpec(engine, policy, s.Quota, s.Warmup, s.Sampling), s.Sampling, traceLen); err != nil {
-			return req, "", err
-		}
-		s.Workload, s.Policy, s.Engine = w[0], policy, engine
-		canon := SubmitRequest{Kind: KindSimulate, Simulate: &s}
-		key := fmt.Sprintf("sim|%s|%s|q%d|%s", engine, policy, s.Quota, strings.Join(s.Workload, ","))
-		if s.Warmup > 0 {
-			key += fmt.Sprintf("|w%d", s.Warmup)
-		}
-		if s.Sampling != nil {
-			key += "|smp" + s.Sampling.spec().String()
-		}
-		return canon, key, nil
-
-	case KindSweep:
-		if req.Sweep == nil {
-			return req, "", badRequest("serve: sweep submission without payload")
-		}
-		s := *req.Sweep
-		if len(s.Workloads) == 0 {
-			return req, "", badRequest("serve: empty sweep")
-		}
-		w, policy, engine, err := canonSim(src, s.Workloads, s.Policy, s.Engine, s.Cores)
-		if err != nil {
-			return req, "", err
-		}
-		if err := checkRun(runSpec(engine, policy, s.Quota, s.Warmup, s.Sampling), s.Sampling, traceLen); err != nil {
-			return req, "", err
-		}
-		s.Workloads, s.Policy, s.Engine = w, policy, engine
-		canon := SubmitRequest{Kind: KindSweep, Sweep: &s}
-		// Workload lists can be large; the key carries a digest plus the
-		// shape so distinct sweeps cannot collide in practice.
-		h := fnv.New64a()
-		for _, wl := range s.Workloads {
-			h.Write([]byte(strings.Join(wl, ",")))
-			h.Write([]byte{'\n'})
-		}
-		key := fmt.Sprintf("sweep|%s|%s|q%d|n%d|%016x", engine, policy, s.Quota, len(s.Workloads), h.Sum64())
-		if s.Warmup > 0 {
-			key += fmt.Sprintf("|w%d", s.Warmup)
-		}
-		if s.Sampling != nil {
-			key += "|smp" + s.Sampling.spec().String()
-		}
-		return canon, key, nil
+	case KindSimulate, KindSweep:
+		return canonRun(req, src, traceLen)
 
 	case KindWarm:
 		if req.Warm == nil {
@@ -271,6 +204,58 @@ func canonicalize(req SubmitRequest, src bench.Source, traceLen int) (SubmitRequ
 	}
 }
 
+// canonRun canonicalizes a simulate or sweep submission. A simulate
+// request is a one-workload sweep with its own key form.
+func canonRun(req SubmitRequest, src bench.Source, traceLen int) (SubmitRequest, string, error) {
+	var s SweepRequest
+	switch {
+	case req.Kind == KindSimulate && req.Simulate != nil:
+		r := req.Simulate
+		s = SweepRequest{Workloads: [][]string{r.Workload}, Policy: r.Policy, Engine: r.Engine,
+			Quota: r.Quota, Warmup: r.Warmup, Cores: r.Cores, Sampling: r.Sampling}
+	case req.Kind == KindSweep && req.Sweep != nil:
+		s = *req.Sweep
+		if len(s.Workloads) == 0 {
+			return req, "", badRequest("serve: empty sweep")
+		}
+	default:
+		return req, "", badRequest("serve: %s submission without payload", req.Kind)
+	}
+	w, policy, engine, err := canonSim(src, s.Workloads, s.Policy, s.Engine, s.Cores)
+	if err != nil {
+		return req, "", err
+	}
+	if err := checkRun(runSpec(engine, policy, s.Quota, s.Warmup, s.Sampling), s.Sampling, traceLen); err != nil {
+		return req, "", err
+	}
+	s.Workloads, s.Policy, s.Engine = w, policy, engine
+	var canon SubmitRequest
+	var key string
+	if req.Kind == KindSimulate {
+		r := *req.Simulate
+		r.Workload, r.Policy, r.Engine = w[0], policy, engine
+		canon = SubmitRequest{Kind: KindSimulate, Simulate: &r}
+		key = fmt.Sprintf("sim|%s|%s|q%d|%s", engine, policy, s.Quota, strings.Join(r.Workload, ","))
+	} else {
+		canon = SubmitRequest{Kind: KindSweep, Sweep: &s}
+		// Workload lists can be large; the key carries a digest plus the
+		// shape so distinct sweeps cannot collide in practice.
+		h := fnv.New64a()
+		for _, wl := range s.Workloads {
+			h.Write([]byte(strings.Join(wl, ",")))
+			h.Write([]byte{'\n'})
+		}
+		key = fmt.Sprintf("sweep|%s|%s|q%d|n%d|%016x", engine, policy, s.Quota, len(s.Workloads), h.Sum64())
+	}
+	if s.Warmup > 0 {
+		key += fmt.Sprintf("|w%d", s.Warmup)
+	}
+	if s.Sampling != nil {
+		key += "|smp" + s.Sampling.String()
+	}
+	return canon, key, nil
+}
+
 // canonProduct validates one wire product and returns its normalized
 // campaign request.
 func canonProduct(p ProductRef) (experiments.Request, error) {
@@ -305,7 +290,11 @@ func runSpec(engine, policy string, quota, warmup uint64, sampling *SampleSpec) 
 	if engine == EngineBadco {
 		e = multicore.BADCO
 	}
-	return multicore.Spec{Engine: e, Policy: cache.PolicyName(policy), Quota: quota, Warmup: warmup, Sampling: sampling.spec()}
+	spec := multicore.Spec{Engine: e, Policy: cache.PolicyName(policy), Quota: quota, Warmup: warmup}
+	if sampling != nil {
+		spec.Sampling = *sampling
+	}
+	return spec
 }
 
 // checkRun refuses an impossible run before it is enqueued: the spec,

@@ -20,7 +20,6 @@ import (
 	"sync"
 	"time"
 
-	"mcbench/internal/bench"
 	"mcbench/internal/buildinfo"
 	"mcbench/internal/experiments"
 	"mcbench/internal/fleet"
@@ -138,47 +137,34 @@ func New(cfg Config) *Server {
 	} else {
 		labCfg.Observer = s.router.dispatch
 	}
-	// Normalize the source here (NewLab would anyway) so the fleet
-	// identity below and the lab agree on its name.
-	if labCfg.Source == nil {
-		labCfg.Source = bench.NewSuite()
-	}
 	if cfg.Fleet != nil && cfg.Fleet.Dial != nil {
 		s.fleet = *cfg.Fleet
+		// fetch is the read-through on local cache misses.
+		var fetch func(ctx context.Context, key string) ([]byte, bool, error)
 		if s.fleet.Join == "" {
-			// Coordinator: accept joins, and read through to the workers'
-			// caches (rendezvous-ranked) on local misses.
+			// Coordinator: accept joins from labs with this lab's
+			// identity, and read through to the workers' caches
+			// (rendezvous-ranked).
 			s.coord = fleet.NewCoordinator(fleet.Config{
-				Build:  s.build,
-				Source: labCfg.Source.Name(), TraceLen: labCfg.TraceLen,
-				Seed: labCfg.Seed, Warmup: labCfg.Warmup,
-				Sampling:  labCfg.Sampling.String(),
+				Build:     s.build,
+				Lab:       experiments.NewLab(labCfg).Identity(),
 				Heartbeat: s.fleet.Heartbeat, StealAfter: s.fleet.StealAfter,
 				Dial: s.fleet.Dial,
 			})
-			if labCfg.CacheDir != "" && labCfg.RemoteFetch == nil {
-				coord := s.coord
-				labCfg.RemoteFetch = func(key string) ([]byte, bool, error) {
-					ctx, cancel := context.WithTimeout(context.Background(), fetchTimeout)
-					defer cancel()
-					return coord.Fetch(ctx, key)
-				}
-			}
+			fetch = s.coord.Fetch
+		} else if peer, err := s.fleet.Dial(s.fleet.Join); err != nil {
+			s.fleetErr = err
 		} else {
 			// Worker: read through to the coordinator's cache (which
 			// itself holds, or fetches, whatever any node computed).
-			peer, err := s.fleet.Dial(s.fleet.Join)
-			if err != nil {
-				s.fleetErr = err
-			} else {
-				s.coordPeer = peer
-				if labCfg.CacheDir != "" && labCfg.RemoteFetch == nil {
-					labCfg.RemoteFetch = func(key string) ([]byte, bool, error) {
-						ctx, cancel := context.WithTimeout(context.Background(), fetchTimeout)
-						defer cancel()
-						return peer.FetchCache(ctx, key)
-					}
-				}
+			s.coordPeer = peer
+			fetch = peer.FetchCache
+		}
+		if fetch != nil && labCfg.CacheDir != "" && labCfg.RemoteFetch == nil {
+			labCfg.RemoteFetch = func(key string) ([]byte, bool, error) {
+				ctx, cancel := context.WithTimeout(context.Background(), fetchTimeout)
+				defer cancel()
+				return fetch(ctx, key)
 			}
 		}
 	}
@@ -260,14 +246,7 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string, onReady func(a
 		}
 		a := fleet.NewAgent(fleet.AgentConfig{
 			Coordinator: s.coordPeer,
-			Join: fleet.JoinRequest{
-				Addr: adv, Build: s.build,
-				Source:   s.lab.Source().Name(),
-				TraceLen: s.lab.Config().TraceLen,
-				Seed:     s.lab.Config().Seed,
-				Warmup:   s.lab.Config().Warmup,
-				Sampling: s.lab.Config().Sampling.String(),
-			},
+			Join:        fleet.JoinRequest{Addr: adv, Build: s.build, Lab: s.lab.Identity()},
 		})
 		s.agentMu.Lock()
 		s.agent = a

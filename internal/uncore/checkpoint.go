@@ -5,12 +5,10 @@ package uncore
 // the write buffer, the per-core page tables with the bump allocator's
 // position, the translation caches and the LLC prefetchers into a
 // reusable buffer. pfScratch is deliberately not state — it is dead
-// between Access calls. Fields are exported so snapshots survive
-// encoding/gob persistence; page tables are flattened to parallel slices
-// because gob cannot be trusted with map iteration order (the contents,
-// not the order, are the state). Snapshot into a warmed buffer and
-// Restore are allocation-free as long as the page tables have not grown
-// past the buffer's capacity.
+// between Access calls. Page tables are flattened to parallel slices
+// (the contents, not the map order, are the state). Snapshot into a
+// warmed buffer and Restore are allocation-free as long as the page
+// tables have not grown past the buffer's capacity.
 
 import (
 	"fmt"

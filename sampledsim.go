@@ -55,8 +55,6 @@ func (o options) wireSampling() *serve.SampleSpec {
 	if o.sampling == (multicore.SamplingSpec{}) {
 		return nil
 	}
-	return &serve.SampleSpec{
-		Unit: o.sampling.Unit, Window: o.sampling.Window,
-		Warmup: o.sampling.Warmup, Warm: o.sampling.Warm,
-	}
+	s := o.sampling
+	return &s
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"mcbench/internal/fleet"
 	"mcbench/internal/results"
 	"mcbench/internal/serve"
 )
@@ -124,11 +123,6 @@ type (
 	SweepCounts = serve.SweepCounts
 	// FleetHealth is the fleet section of /healthz.
 	FleetHealth = serve.FleetHealth
-	// FleetJoinRequest is a worker's registration handshake
-	// (POST /fleet/join).
-	FleetJoinRequest = fleet.JoinRequest
-	// FleetJoinResponse grants fleet membership.
-	FleetJoinResponse = fleet.JoinResponse
 	// FleetMetricsView is the coordinator's aggregated per-worker
 	// telemetry view (GET /fleet/metrics).
 	FleetMetricsView = serve.FleetMetrics
