@@ -14,6 +14,7 @@ import (
 	"strings"
 	"time"
 
+	"mcbench/internal/multicore"
 	"mcbench/internal/serve"
 	"mcbench/internal/telemetry"
 )
@@ -259,9 +260,9 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// do performs one JSON exchange with retries. A nil in means no body; a
-// nil out discards the response payload.
-func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+// call is a JSON exchange over do: a nil in sends no body, a nil out
+// discards the response payload.
+func (c *Client) call(ctx context.Context, method, path string, in, out any) error {
 	var payload []byte
 	if in != nil {
 		data, err := json.Marshal(in)
@@ -270,36 +271,51 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		}
 		payload = data
 	}
+	_, data, err := c.do(ctx, method, path, payload)
+	if err != nil || out == nil {
+		return err
+	}
+	if err := json.Unmarshal(data, out); err != nil {
+		c.failures.Inc()
+		return fmt.Errorf("mcbench: decoding %s: %w", path, err)
+	}
+	return nil
+}
+
+// do performs one exchange with retries and returns the 2xx status and
+// body; a non-2xx response comes back as *APIError once the retryable
+// ones (see retryable) are exhausted. A nil payload sends no body.
+func (c *Client) do(ctx context.Context, method, path string, payload []byte) (int, []byte, error) {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			c.retries.Inc()
 			if err := sleepCtx(ctx, c.retryDelay(attempt, lastErr)); err != nil {
 				c.failures.Inc()
-				return lastErr
+				return 0, nil, lastErr
 			}
 		}
-		err := c.once(ctx, method, path, payload, out)
+		status, data, err := c.once(ctx, method, path, payload)
 		if err == nil {
-			return nil
+			return status, data, nil
 		}
 		lastErr = err
 		if attempt >= c.maxRetries || !retryable(method, err) || ctx.Err() != nil {
 			c.failures.Inc()
-			return err
+			return 0, nil, err
 		}
 	}
 }
 
-// once performs a single JSON exchange.
-func (c *Client) once(ctx context.Context, method, path string, payload []byte, out any) error {
+// once performs a single exchange, returning the 2xx status and body.
+func (c *Client) once(ctx context.Context, method, path string, payload []byte) (int, []byte, error) {
 	var body io.Reader
 	if payload != nil {
 		body = bytes.NewReader(payload)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
-		return fmt.Errorf("mcbench: %w", err)
+		return 0, nil, fmt.Errorf("mcbench: %w", err)
 	}
 	if payload != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -311,23 +327,17 @@ func (c *Client) once(ctx context.Context, method, path string, payload []byte, 
 	}()
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return &connError{err}
+		return 0, nil, &connError{err}
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return &connError{err}
+		return 0, nil, &connError{err}
 	}
 	if resp.StatusCode >= 300 {
-		return newAPIError(resp, data)
+		return 0, nil, newAPIError(resp, data)
 	}
-	if out == nil {
-		return nil
-	}
-	if err := json.Unmarshal(data, out); err != nil {
-		return fmt.Errorf("mcbench: decoding %s: %w", path, err)
-	}
-	return nil
+	return resp.StatusCode, data, nil
 }
 
 // Metrics fetches the server's telemetry snapshot
@@ -336,7 +346,7 @@ func (c *Client) once(ctx context.Context, method, path string, payload []byte, 
 // Prometheus text form, scrape GET /metrics directly.
 func (c *Client) Metrics(ctx context.Context) (*MetricsSnapshot, error) {
 	var snap MetricsSnapshot
-	if err := c.do(ctx, http.MethodGet, "/metrics?format=json", nil, &snap); err != nil {
+	if err := c.call(ctx, http.MethodGet, "/metrics?format=json", nil, &snap); err != nil {
 		return nil, err
 	}
 	return &snap, nil
@@ -348,7 +358,7 @@ func (c *Client) Metrics(ctx context.Context) (*MetricsSnapshot, error) {
 // means the server is not a fleet coordinator.
 func (c *Client) FleetMetrics(ctx context.Context) (*FleetMetricsView, error) {
 	var fm FleetMetricsView
-	if err := c.do(ctx, http.MethodGet, "/fleet/metrics", nil, &fm); err != nil {
+	if err := c.call(ctx, http.MethodGet, "/fleet/metrics", nil, &fm); err != nil {
 		return nil, err
 	}
 	return &fm, nil
@@ -357,7 +367,7 @@ func (c *Client) FleetMetrics(ctx context.Context) (*FleetMetricsView, error) {
 // Health fetches /healthz: build identity, uptime, source, job stats.
 func (c *Client) Health(ctx context.Context) (*ServerHealth, error) {
 	var h ServerHealth
-	if err := c.do(ctx, http.MethodGet, "/healthz", nil, &h); err != nil {
+	if err := c.call(ctx, http.MethodGet, "/healthz", nil, &h); err != nil {
 		return nil, err
 	}
 	return &h, nil
@@ -368,7 +378,7 @@ func (c *Client) ServerExperiments(ctx context.Context) ([]ServeExperimentInfo, 
 	var payload struct {
 		Experiments []ServeExperimentInfo `json:"experiments"`
 	}
-	if err := c.do(ctx, http.MethodGet, "/experiments", nil, &payload); err != nil {
+	if err := c.call(ctx, http.MethodGet, "/experiments", nil, &payload); err != nil {
 		return nil, err
 	}
 	return payload.Experiments, nil
@@ -380,7 +390,7 @@ func (c *Client) Benches(ctx context.Context) (source string, benches []BenchInf
 		Source     string      `json:"source"`
 		Benchmarks []BenchInfo `json:"benchmarks"`
 	}
-	if err := c.do(ctx, http.MethodGet, "/benches", nil, &payload); err != nil {
+	if err := c.call(ctx, http.MethodGet, "/benches", nil, &payload); err != nil {
 		return "", nil, err
 	}
 	return payload.Source, payload.Benchmarks, nil
@@ -392,7 +402,7 @@ func (c *Client) Cache(ctx context.Context) ([]CacheEntry, error) {
 	var payload struct {
 		Entries []CacheEntry `json:"entries"`
 	}
-	if err := c.do(ctx, http.MethodGet, "/cache", nil, &payload); err != nil {
+	if err := c.call(ctx, http.MethodGet, "/cache", nil, &payload); err != nil {
 		return nil, err
 	}
 	return payload.Entries, nil
@@ -415,52 +425,54 @@ func (c *Client) SubmitExperiment(ctx context.Context, name string, cores int) (
 // the local driver would). WithTraceLen and WithSuite are rejected — the
 // server's lab fixes both.
 func (c *Client) SubmitSimulate(ctx context.Context, workload []string, opts ...Option) (*JobStatus, error) {
-	o, err := serverOptions(opts)
+	s, err := serverSweep([][]string{workload}, opts)
 	if err != nil {
 		return nil, err
 	}
 	return c.submit(ctx, serve.SubmitRequest{
 		Kind: serve.KindSimulate,
 		Simulate: &serve.SimulateRequest{
-			Workload: workload, Policy: string(o.policy), Engine: o.engine.String(),
-			Quota: o.quota, Warmup: o.warmup, Cores: o.cores,
-			Sampling: o.wireSampling(),
+			Workload: workload, Policy: s.Policy, Engine: s.Engine,
+			Quota: s.Quota, Warmup: s.Warmup, Cores: s.Cores, Sampling: s.Sampling,
 		},
 	})
 }
 
 // SubmitSweep submits many ad-hoc workloads under one configuration.
 func (c *Client) SubmitSweep(ctx context.Context, workloads [][]string, opts ...Option) (*JobStatus, error) {
-	o, err := serverOptions(opts)
+	s, err := serverSweep(workloads, opts)
 	if err != nil {
 		return nil, err
 	}
-	return c.submit(ctx, serve.SubmitRequest{
-		Kind: serve.KindSweep,
-		Sweep: &serve.SweepRequest{
-			Workloads: workloads, Policy: string(o.policy), Engine: o.engine.String(),
-			Quota: o.quota, Warmup: o.warmup, Cores: o.cores,
-			Sampling: o.wireSampling(),
-		},
-	})
+	return c.submit(ctx, serve.SubmitRequest{Kind: serve.KindSweep, Sweep: s})
 }
 
-// serverOptions resolves the public options into a server submission,
-// rejecting the ones a remote lab cannot honour.
-func serverOptions(opts []Option) (options, error) {
+// serverSweep renders the options as a server sweep submission,
+// rejecting the ones a remote lab cannot honour. The server resolves it
+// through the same multicore.Batch as Sweep.
+func serverSweep(workloads [][]string, opts []Option) (*serve.SweepRequest, error) {
 	o := buildOptions(opts)
 	if o.fixedLen {
-		return o, fmt.Errorf("mcbench: WithTraceLen applies to local simulation; a server's trace length is its lab's Config.TraceLen")
+		return nil, fmt.Errorf("mcbench: WithTraceLen applies to local simulation; a server's trace length is its lab's Config.TraceLen")
 	}
 	if o.suite != nil {
-		return o, fmt.Errorf("mcbench: WithSuite applies to local simulation; a server's source is its lab's Config.Source")
+		return nil, fmt.Errorf("mcbench: WithSuite applies to local simulation; a server's source is its lab's Config.Source")
 	}
-	return o, nil
+	s := &serve.SweepRequest{
+		Workloads: workloads, Policy: string(o.policy), Engine: o.engine.String(),
+		Quota: o.quota, Warmup: o.warmup, Cores: o.cores,
+	}
+	// No sampling option leaves the field out, keeping exact submissions
+	// byte-identical to earlier versions.
+	if o.sampling != (multicore.SamplingSpec{}) {
+		s.Sampling = &o.sampling
+	}
+	return s, nil
 }
 
 func (c *Client) submit(ctx context.Context, req serve.SubmitRequest) (*JobStatus, error) {
 	var st JobStatus
-	if err := c.do(ctx, http.MethodPost, "/jobs", req, &st); err != nil {
+	if err := c.call(ctx, http.MethodPost, "/jobs", req, &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
@@ -469,7 +481,7 @@ func (c *Client) submit(ctx context.Context, req serve.SubmitRequest) (*JobStatu
 // Job fetches one job's status.
 func (c *Client) Job(ctx context.Context, id string) (*JobStatus, error) {
 	var st JobStatus
-	if err := c.do(ctx, http.MethodGet, "/jobs/"+url.PathEscape(id), nil, &st); err != nil {
+	if err := c.call(ctx, http.MethodGet, "/jobs/"+url.PathEscape(id), nil, &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
@@ -480,7 +492,7 @@ func (c *Client) Jobs(ctx context.Context) ([]JobStatus, error) {
 	var payload struct {
 		Jobs []JobStatus `json:"jobs"`
 	}
-	if err := c.do(ctx, http.MethodGet, "/jobs", nil, &payload); err != nil {
+	if err := c.call(ctx, http.MethodGet, "/jobs", nil, &payload); err != nil {
 		return nil, err
 	}
 	return payload.Jobs, nil
@@ -490,7 +502,7 @@ func (c *Client) Jobs(ctx context.Context) ([]JobStatus, error) {
 // no-op; the returned status reports where it ended up.
 func (c *Client) Cancel(ctx context.Context, id string) (*JobStatus, error) {
 	var st JobStatus
-	if err := c.do(ctx, http.MethodPost, "/jobs/"+url.PathEscape(id)+"/cancel", struct{}{}, &st); err != nil {
+	if err := c.call(ctx, http.MethodPost, "/jobs/"+url.PathEscape(id)+"/cancel", struct{}{}, &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
@@ -500,7 +512,7 @@ func (c *Client) Cancel(ctx context.Context, id string) (*JobStatus, error) {
 // running it returns (nil, false, nil); a failed or cancelled job is an
 // error carrying the server's reason.
 func (c *Client) Result(ctx context.Context, id string) (*JobResult, bool, error) {
-	status, data, err := c.getRaw(ctx, "/jobs/"+url.PathEscape(id)+"/result")
+	status, data, err := c.do(ctx, http.MethodGet, "/jobs/"+url.PathEscape(id)+"/result", nil)
 	if err != nil {
 		return nil, false, err
 	}
@@ -508,7 +520,7 @@ func (c *Client) Result(ctx context.Context, id string) (*JobResult, bool, error
 	case http.StatusAccepted:
 		return nil, false, nil
 	case http.StatusOK:
-	default: // unreachable: getRaw converts non-2xx into *APIError
+	default: // unreachable: do converts non-2xx into *APIError
 		return nil, false, &APIError{StatusCode: status, Message: strings.TrimSpace(string(data))}
 	}
 	// A terminal non-done job answers 200 with its status wrapped.
@@ -523,58 +535,6 @@ func (c *Client) Result(ctx context.Context, id string) (*JobResult, bool, error
 		return nil, true, fmt.Errorf("mcbench: decoding result: %w", err)
 	}
 	return &res, true, nil
-}
-
-// getRaw performs a retrying GET and returns the 2xx status and body;
-// non-2xx responses come back as *APIError (and 503/429/502/504 and
-// connection errors were retried first, like do).
-func (c *Client) getRaw(ctx context.Context, path string) (int, []byte, error) {
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			c.retries.Inc()
-			if err := sleepCtx(ctx, c.retryDelay(attempt, lastErr)); err != nil {
-				c.failures.Inc()
-				return 0, nil, lastErr
-			}
-		}
-		status, data, err := c.onceRaw(ctx, path)
-		if err == nil {
-			return status, data, nil
-		}
-		lastErr = err
-		if attempt >= c.maxRetries || !retryable(http.MethodGet, err) || ctx.Err() != nil {
-			c.failures.Inc()
-			return 0, nil, err
-		}
-	}
-}
-
-// onceRaw performs a single GET, preserving the status for callers that
-// dispatch on it (Result's 202-while-running).
-func (c *Client) onceRaw(ctx context.Context, path string) (int, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-	if err != nil {
-		return 0, nil, fmt.Errorf("mcbench: %w", err)
-	}
-	start := time.Now()
-	defer func() {
-		c.reqCount.Inc()
-		c.reqLatency.ObserveDuration(time.Since(start))
-	}()
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return 0, nil, &connError{err}
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, nil, &connError{err}
-	}
-	if resp.StatusCode >= 300 {
-		return 0, nil, newAPIError(resp, data)
-	}
-	return resp.StatusCode, data, nil
 }
 
 // Events long-polls the job's progress log from the cursor (0 = start),
@@ -595,7 +555,7 @@ func (c *Client) Events(ctx context.Context, id string, after int, fn func(JobEv
 			Events []JobEvent `json:"events"`
 		}
 		path := fmt.Sprintf("/jobs/%s/events?after=%d&wait=30s", url.PathEscape(id), after)
-		if err := c.do(ctx, http.MethodGet, path, nil, &page); err != nil {
+		if err := c.call(ctx, http.MethodGet, path, nil, &page); err != nil {
 			fails++
 			if fails > c.maxRetries || !retryable(http.MethodGet, err) || ctx.Err() != nil {
 				return "", err

@@ -34,6 +34,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -335,17 +336,15 @@ func simulate(ctx context.Context, cfg experiments.Config, args []string) error 
 			return err
 		}
 	}
-	spec = spec.Resolved(cfg.TraceLen)
-	if err := spec.Validate(); err != nil {
-		return err
-	}
-	src := cfg.Source
-	names := strings.Split(args[1], ",")
-	if _, err := bench.CheckNames(src, [][]string{names}); err != nil {
+	prov := bench.At(cfg.Source, cfg.TraceLen)
+	b, _, err := multicore.Batch{Workloads: []multicore.Workload{strings.Split(args[1], ",")}, Spec: spec}.Resolve(prov)
+	if errors.Is(err, multicore.ErrUnknownBenchmark) {
 		return fmt.Errorf("%w (run `mcbench benches`)", err)
 	}
-	w := multicore.Workload(names)
-	prov := bench.At(src, cfg.TraceLen)
+	if err != nil {
+		return err
+	}
+	w, spec := b.Workloads[0], b.Spec.Resolved(prov.Len())
 
 	if spec.Sampling.Enabled() {
 		r, err := multicore.Run(ctx, w, spec, prov, nil)
@@ -355,7 +354,7 @@ func simulate(ctx context.Context, cfg experiments.Config, args []string) error 
 		fmt.Printf("workload %s under %s (sampled %s, %d windows of %d µops)\n",
 			w, spec.Policy, spec.Sampling, r.Windows, spec.Sampling.Window)
 		fmt.Printf("%-12s  %10s  %10s  %8s\n", "thread", "IPC(est)", "±95% CI", "cv")
-		for i, n := range names {
+		for i, n := range w {
 			fmt.Printf("%-12s  %10.4f  %10.4f  %8.3f\n", n, r.IPC[i], r.CIHalf[i], r.CV[i])
 		}
 		return nil
@@ -376,7 +375,7 @@ func simulate(ctx context.Context, cfg experiments.Config, args []string) error 
 	}
 	fmt.Printf("workload %s under %s (%s)\n", w, spec.Policy, window)
 	fmt.Printf("%-12s  %10s  %10s\n", "thread", "detailed", "BADCO")
-	for i, n := range names {
+	for i, n := range w {
 		fmt.Printf("%-12s  %10.4f  %10.4f\n", n, det.IPC[i], app.IPC[i])
 	}
 	return nil

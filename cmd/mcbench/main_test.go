@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"regexp"
 	"strings"
 	"testing"
@@ -26,4 +27,28 @@ func TestCatalogueColumns(t *testing.T) {
 	if n == 0 {
 		t.Fatal("catalogue printed no entries")
 	}
+}
+
+// FuzzParseSampleSpec checks the -sample parser: no panic; an accepted
+// spec validates, fits its unit (Warmup + Window ≤ Unit, compared
+// without overflow), and round-trips through its U:D:W:F form. Seeds
+// live in testdata/fuzz/FuzzParseSampleSpec.
+func FuzzParseSampleSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		spec, err := parseSampleSpec(s)
+		if err != nil {
+			return
+		}
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("%q: accepted an invalid spec: %v", s, err)
+		}
+		if spec.Enabled() && (spec.Window > spec.Unit || spec.Warmup > spec.Unit-spec.Window) {
+			t.Fatalf("%q: accepted an overfull unit %+v", s, spec)
+		}
+		form := fmt.Sprintf("%d:%d:%d:%d", spec.Unit, spec.Window, spec.Warmup, spec.Warm)
+		back, err := parseSampleSpec(form)
+		if err != nil || back != spec {
+			t.Fatalf("%q: round trip through %q gave %+v, %v", s, form, back, err)
+		}
+	})
 }

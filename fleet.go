@@ -37,7 +37,7 @@ func (c *Client) SubmitWarm(ctx context.Context, products []ProductRef) (*JobSta
 // (GET /cache/{key}), integrity footer included — the fleet's result
 // fabric. ok is false on a plain 404 miss.
 func (c *Client) CacheGet(ctx context.Context, key string) (data []byte, ok bool, err error) {
-	_, data, err = c.getRaw(ctx, "/cache/"+url.PathEscape(key))
+	_, data, err = c.do(ctx, http.MethodGet, "/cache/"+url.PathEscape(key), nil)
 	if err != nil {
 		if IsNotFound(err) {
 			return nil, false, nil
@@ -56,7 +56,7 @@ type clientPeer struct{ c *Client }
 // fleet.ErrIncompatible.
 func (p clientPeer) Join(ctx context.Context, req fleet.JoinRequest) (*fleet.JoinResponse, error) {
 	var resp fleet.JoinResponse
-	if err := p.c.do(ctx, http.MethodPost, "/fleet/join", req, &resp); err != nil {
+	if err := p.c.call(ctx, http.MethodPost, "/fleet/join", req, &resp); err != nil {
 		var ae *APIError
 		if errors.As(err, &ae) && ae.StatusCode == http.StatusConflict {
 			return nil, fmt.Errorf("%w: %s", fleet.ErrIncompatible, ae.Message)
@@ -69,12 +69,12 @@ func (p clientPeer) Join(ctx context.Context, req fleet.JoinRequest) (*fleet.Joi
 // Heartbeat renews the membership lease. A 404 means the coordinator no
 // longer knows the id (restart or lease lapse): the agent re-joins.
 func (p clientPeer) Heartbeat(ctx context.Context, id string) error {
-	return p.c.do(ctx, http.MethodPost, "/fleet/heartbeat", map[string]string{"id": id}, nil)
+	return p.c.call(ctx, http.MethodPost, "/fleet/heartbeat", map[string]string{"id": id}, nil)
 }
 
 // Leave deregisters the membership (idempotent).
 func (p clientPeer) Leave(ctx context.Context, id string) error {
-	return p.c.do(ctx, http.MethodPost, "/fleet/leave", map[string]string{"id": id}, nil)
+	return p.c.call(ctx, http.MethodPost, "/fleet/leave", map[string]string{"id": id}, nil)
 }
 
 func (p clientPeer) SubmitWarm(ctx context.Context, products []experiments.Request) (string, error) {

@@ -248,28 +248,3 @@ func (p Provider) Source() Source { return p.src }
 
 // Len returns the bound trace length in µops.
 func (p Provider) Len() int { return p.n }
-
-// CheckNames validates every workload name against the source before
-// any simulation starts, and returns the distinct names in first-use
-// order — the model-build list of a BADCO sweep. It is the one shared
-// validation path of the public API and the CLI.
-func CheckNames(src Source, workloads [][]string) ([]string, error) {
-	valid := map[string]bool{}
-	for _, n := range src.Names() {
-		valid[n] = true
-	}
-	seen := map[string]bool{}
-	var distinct []string
-	for _, w := range workloads {
-		for _, name := range w {
-			if !valid[name] {
-				return nil, fmt.Errorf("bench: %s: unknown benchmark %q", src.Name(), name)
-			}
-			if !seen[name] {
-				seen[name] = true
-				distinct = append(distinct, name)
-			}
-		}
-	}
-	return distinct, nil
-}

@@ -31,6 +31,7 @@ package multicore
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -115,6 +116,30 @@ const (
 	BADCO
 )
 
+// engineNames spells every engine; String and ParseEngine read it.
+var engineNames = [...]string{Detailed: "detailed", BADCO: "badco"}
+
+// String names the engine ("detailed" or "badco").
+func (e Engine) String() string {
+	if e >= 0 && int(e) < len(engineNames) {
+		return engineNames[e]
+	}
+	return fmt.Sprintf("Engine(%d)", int(e))
+}
+
+// ParseEngine reads an engine name; the empty name is Detailed.
+func ParseEngine(name string) (Engine, error) {
+	if name == "" {
+		return Detailed, nil
+	}
+	for e, n := range engineNames {
+		if n == name {
+			return Engine(e), nil
+		}
+	}
+	return 0, fmt.Errorf("multicore: unknown engine %q (want %q or %q)", name, Detailed, BADCO)
+}
+
 // Spec describes one simulation run.
 type Spec struct {
 	Engine Engine
@@ -169,6 +194,85 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("multicore: sampling unit %d exceeds quota %d", s.Sampling.Unit, s.Quota)
 	}
 	return nil
+}
+
+// ErrUnknownBenchmark is wrapped by Batch.Resolve's error for a name the
+// catalogue does not hold, so a front door can point at its listing.
+var ErrUnknownBenchmark = errors.New("unknown benchmark")
+
+// Catalog is what a Batch resolves against: the benchmark names on offer
+// and the trace length a zero quota stands for. bench.Provider is one.
+type Catalog interface {
+	Names() []string
+	Len() int
+}
+
+// Batch is an ad-hoc run request as a front door (the public API, the
+// CLI, serve) receives it: workloads, a core count and a spec. Resolve
+// turns it into what Run and Sweep take.
+type Batch struct {
+	Workloads []Workload
+	// Cores, when positive, pins the machine's core count: a
+	// single-benchmark workload is replicated onto every core, and any
+	// other workload must already have Cores threads. Zero keeps each
+	// workload's own width.
+	Cores int
+	Spec  Spec
+}
+
+// Resolve makes every decision an ad-hoc request leaves open, once: it
+// defaults an empty policy to LRU, replicates single-benchmark workloads
+// onto Cores, checks every name against cat, and validates the spec with
+// a zero quota resolved to cat.Len(). It returns the resolved batch
+// (workloads copied, quota as given, since Run resolves a zero quota
+// itself) and the distinct benchmark names in first-use order.
+func (b Batch) Resolve(cat Catalog) (Batch, []string, error) {
+	if b.Spec.Policy == "" {
+		b.Spec.Policy = cache.LRU
+	}
+	if b.Cores < 0 {
+		return b, nil, fmt.Errorf("multicore: negative cores %d", b.Cores)
+	}
+	valid := map[string]bool{}
+	for _, n := range cat.Names() {
+		valid[n] = true
+	}
+	seen := map[string]bool{}
+	var names []string
+	ws := make([]Workload, len(b.Workloads))
+	for i, w := range b.Workloads {
+		switch {
+		case len(w) == 0:
+			return b, nil, fmt.Errorf("multicore: empty workload")
+		case b.Cores == 0 || b.Cores == len(w):
+			ws[i] = append(Workload(nil), w...)
+		case len(w) == 1:
+			ws[i] = make(Workload, b.Cores)
+			for c := range ws[i] {
+				ws[i][c] = w[0]
+			}
+		default:
+			return b, nil, fmt.Errorf("multicore: workload %s has %d threads but %d cores were given", w, len(w), b.Cores)
+		}
+		for _, name := range w {
+			if !valid[name] {
+				return b, nil, fmt.Errorf("multicore: %w %q", ErrUnknownBenchmark, name)
+			}
+			if !seen[name] {
+				seen[name] = true
+				names = append(names, name)
+			}
+		}
+	}
+	n := cat.Len()
+	if n <= 0 {
+		return b, nil, fmt.Errorf("multicore: non-positive trace length %d", n)
+	}
+	if err := b.Spec.Resolved(n).Validate(); err != nil {
+		return b, nil, err
+	}
+	b.Workloads = ws
+	return b, names, nil
 }
 
 // Result is the outcome of simulating one workload under one spec.

@@ -74,7 +74,8 @@ func (s SamplingSpec) Validate() error {
 	if s.Window == 0 {
 		return fmt.Errorf("multicore: sampling window must be positive")
 	}
-	if s.Warmup+s.Window > s.Unit {
+	// Compared without the sum, which wraps on huge fields.
+	if s.Window > s.Unit || s.Warmup > s.Unit-s.Window {
 		return fmt.Errorf("multicore: sampling warmup %d + window %d exceed unit %d", s.Warmup, s.Window, s.Unit)
 	}
 	if s.Warm > s.Unit-s.Warmup-s.Window {

@@ -31,6 +31,9 @@ func TestSamplingSpecValidate(t *testing.T) {
 		{SamplingSpec{Unit: 1000, Window: 100, Warmup: 100, Warm: 800}, true},
 		{SamplingSpec{Unit: 1000, Window: 100, Warmup: 100, Warm: 801}, false},
 		{SamplingSpec{Warm: 100}, false},
+		// Warmup+Window wraps to 1 in uint64; the schedule is impossible.
+		{SamplingSpec{Unit: 10, Window: 2, Warmup: math.MaxUint64}, false},
+		{SamplingSpec{Unit: 10, Window: 11}, false},
 	}
 	for _, c := range cases {
 		if err := c.spec.Validate(); (err == nil) != c.ok {

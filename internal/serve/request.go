@@ -10,6 +10,7 @@ package serve
 // persistent table cache.
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -36,12 +37,6 @@ const (
 	// campaign shards to workers as warm jobs; the results converge
 	// through the content-addressed cache, not the job result.
 	KindWarm Kind = "warm"
-)
-
-// Engine names on the wire.
-const (
-	EngineDetailed = "detailed"
-	EngineBadco    = "badco"
 )
 
 // SubmitRequest is the wire form of a job submission: a kind plus the
@@ -155,7 +150,7 @@ func canonicalize(req SubmitRequest, src bench.Source, traceLen int) (SubmitRequ
 		return canon, fmt.Sprintf("exp|%s|c%d", e.Name, e.Cores), nil
 
 	case KindSimulate, KindSweep:
-		return canonRun(req, src, traceLen)
+		return canonRun(req, bench.At(src, traceLen))
 
 	case KindWarm:
 		if req.Warm == nil {
@@ -204,38 +199,35 @@ func canonicalize(req SubmitRequest, src bench.Source, traceLen int) (SubmitRequ
 	}
 }
 
-// canonRun canonicalizes a simulate or sweep submission. A simulate
-// request is a one-workload sweep with its own key form.
-func canonRun(req SubmitRequest, src bench.Source, traceLen int) (SubmitRequest, string, error) {
-	var s SweepRequest
-	switch {
-	case req.Kind == KindSimulate && req.Simulate != nil:
-		r := req.Simulate
-		s = SweepRequest{Workloads: [][]string{r.Workload}, Policy: r.Policy, Engine: r.Engine,
-			Quota: r.Quota, Warmup: r.Warmup, Cores: r.Cores, Sampling: r.Sampling}
-	case req.Kind == KindSweep && req.Sweep != nil:
-		s = *req.Sweep
-		if len(s.Workloads) == 0 {
-			return req, "", badRequest("serve: empty sweep")
-		}
-	default:
-		return req, "", badRequest("serve: %s submission without payload", req.Kind)
-	}
-	w, policy, engine, err := canonSim(src, s.Workloads, s.Policy, s.Engine, s.Cores)
+// canonRun canonicalizes a simulate or sweep submission: it resolves
+// the request through multicore.Batch, the path the library and the CLI
+// take, and renders the key from the resolved batch. The quota enters
+// the key as given, so a zero quota keys as q0.
+func canonRun(req SubmitRequest, cat multicore.Catalog) (SubmitRequest, string, error) {
+	s, err := sweepOf(req)
 	if err != nil {
 		return req, "", err
 	}
-	if err := checkRun(runSpec(engine, policy, s.Quota, s.Warmup, s.Sampling), s.Sampling, traceLen); err != nil {
+	if req.Kind == KindSweep && len(s.Workloads) == 0 {
+		return req, "", badRequest("serve: empty sweep")
+	}
+	b, _, err := s.batch(cat)
+	if err != nil {
 		return req, "", err
 	}
-	s.Workloads, s.Policy, s.Engine = w, policy, engine
+	spec := b.Spec
+	s.Policy, s.Engine = string(spec.Policy), spec.Engine.String()
+	s.Workloads = make([][]string, len(b.Workloads))
+	for i, w := range b.Workloads {
+		s.Workloads[i] = w
+	}
 	var canon SubmitRequest
 	var key string
 	if req.Kind == KindSimulate {
 		r := *req.Simulate
-		r.Workload, r.Policy, r.Engine = w[0], policy, engine
+		r.Workload, r.Policy, r.Engine = s.Workloads[0], s.Policy, s.Engine
 		canon = SubmitRequest{Kind: KindSimulate, Simulate: &r}
-		key = fmt.Sprintf("sim|%s|%s|q%d|%s", engine, policy, s.Quota, strings.Join(r.Workload, ","))
+		key = fmt.Sprintf("sim|%s|%s|q%d|%s", spec.Engine, spec.Policy, spec.Quota, strings.Join(r.Workload, ","))
 	} else {
 		canon = SubmitRequest{Kind: KindSweep, Sweep: &s}
 		// Workload lists can be large; the key carries a digest plus the
@@ -245,15 +237,59 @@ func canonRun(req SubmitRequest, src bench.Source, traceLen int) (SubmitRequest,
 			h.Write([]byte(strings.Join(wl, ",")))
 			h.Write([]byte{'\n'})
 		}
-		key = fmt.Sprintf("sweep|%s|%s|q%d|n%d|%016x", engine, policy, s.Quota, len(s.Workloads), h.Sum64())
+		key = fmt.Sprintf("sweep|%s|%s|q%d|n%d|%016x", spec.Engine, spec.Policy, spec.Quota, len(s.Workloads), h.Sum64())
 	}
-	if s.Warmup > 0 {
-		key += fmt.Sprintf("|w%d", s.Warmup)
+	if spec.Warmup > 0 {
+		key += fmt.Sprintf("|w%d", spec.Warmup)
 	}
-	if s.Sampling != nil {
-		key += "|smp" + s.Sampling.String()
+	if spec.Sampling.Enabled() {
+		key += "|smp" + spec.Sampling.String()
 	}
 	return canon, key, nil
+}
+
+// sweepOf returns a simulate or sweep submission's payload as a sweep: a
+// simulate request is a one-workload sweep.
+func sweepOf(req SubmitRequest) (SweepRequest, error) {
+	switch {
+	case req.Kind == KindSimulate && req.Simulate != nil:
+		r := req.Simulate
+		return SweepRequest{Workloads: [][]string{r.Workload}, Policy: r.Policy, Engine: r.Engine,
+			Quota: r.Quota, Warmup: r.Warmup, Cores: r.Cores, Sampling: r.Sampling}, nil
+	case req.Kind == KindSweep && req.Sweep != nil:
+		return *req.Sweep, nil
+	}
+	return SweepRequest{}, badRequest("serve: %s submission without payload", req.Kind)
+}
+
+// batch resolves the request through multicore.Batch against the
+// catalogue and returns it with the distinct benchmark names. A
+// sampling field that is present must ask for sampling.
+func (s SweepRequest) batch(cat multicore.Catalog) (multicore.Batch, []string, error) {
+	engine, err := multicore.ParseEngine(s.Engine)
+	if err != nil {
+		return multicore.Batch{}, nil, badRequest("serve: %v", err)
+	}
+	b := multicore.Batch{Workloads: make([]multicore.Workload, len(s.Workloads)), Cores: s.Cores, Spec: multicore.Spec{
+		Engine: engine, Policy: cache.PolicyName(s.Policy), Quota: s.Quota, Warmup: s.Warmup,
+	}}
+	for i, w := range s.Workloads {
+		b.Workloads[i] = w
+	}
+	if s.Sampling != nil {
+		if !s.Sampling.Enabled() {
+			return b, nil, badRequest("serve: empty sampling spec (omit the field for an exact run)")
+		}
+		b.Spec.Sampling = *s.Sampling
+	}
+	b, names, err := b.Resolve(cat)
+	switch {
+	case errors.Is(err, multicore.ErrUnknownBenchmark):
+		return b, nil, badRequest("serve: %v (see /benches)", err)
+	case err != nil:
+		return b, nil, badRequest("serve: %v", err)
+	}
+	return b, names, nil
 }
 
 // canonProduct validates one wire product and returns its normalized
@@ -281,82 +317,4 @@ func canonProduct(p ProductRef) (experiments.Request, error) {
 	}
 	r := experiments.Request{Sim: sim, Cores: p.Cores, Policy: cache.PolicyName(p.Policy)}
 	return r.Normalized(), nil
-}
-
-// runSpec is the multicore run a simulate or sweep request describes;
-// engine and policy are already canonical.
-func runSpec(engine, policy string, quota, warmup uint64, sampling *SampleSpec) multicore.Spec {
-	e := multicore.Detailed
-	if engine == EngineBadco {
-		e = multicore.BADCO
-	}
-	spec := multicore.Spec{Engine: e, Policy: cache.PolicyName(policy), Quota: quota, Warmup: warmup}
-	if sampling != nil {
-		spec.Sampling = *sampling
-	}
-	return spec
-}
-
-// checkRun refuses an impossible run before it is enqueued: the spec,
-// its zero quota resolved to the lab's trace length, must validate, and
-// a sampling field that is present must ask for sampling.
-func checkRun(spec multicore.Spec, sampling *SampleSpec, traceLen int) error {
-	if err := spec.Resolved(traceLen).Validate(); err != nil {
-		return badRequest("serve: %v", err)
-	}
-	if sampling != nil && !spec.Sampling.Enabled() {
-		return badRequest("serve: empty sampling spec (omit the field for an exact run)")
-	}
-	return nil
-}
-
-// canonSim validates and canonicalizes the shared simulate/sweep fields:
-// policy and engine defaults, WithCores-style replication, and name
-// validation against the source (checkRun validates the policy).
-func canonSim(src bench.Source, workloads [][]string, policy, engine string, cores int) (resolved [][]string, pol, eng string, err error) {
-	if policy == "" {
-		policy = string(cache.LRU)
-	}
-	switch engine {
-	case "":
-		engine = EngineDetailed
-	case EngineDetailed, EngineBadco:
-	default:
-		return nil, "", "", badRequest("serve: unknown engine %q (want %q or %q)", engine, EngineDetailed, EngineBadco)
-	}
-	if cores < 0 {
-		return nil, "", "", badRequest("serve: negative cores %d", cores)
-	}
-	resolved = make([][]string, len(workloads))
-	for i, w := range workloads {
-		rw, err := resolveWorkload(w, cores)
-		if err != nil {
-			return nil, "", "", err
-		}
-		resolved[i] = rw
-	}
-	if _, err := bench.CheckNames(src, resolved); err != nil {
-		return nil, "", "", badRequest("%v (see /benches)", err)
-	}
-	return resolved, policy, engine, nil
-}
-
-// resolveWorkload applies the cores option to one named workload: a
-// single benchmark is replicated onto all cores, a multi-benchmark
-// workload must already match.
-func resolveWorkload(workload []string, cores int) ([]string, error) {
-	if len(workload) == 0 {
-		return nil, badRequest("serve: empty workload")
-	}
-	if cores == 0 || cores == len(workload) {
-		return append([]string(nil), workload...), nil
-	}
-	if len(workload) == 1 {
-		w := make([]string, cores)
-		for i := range w {
-			w[i] = workload[0]
-		}
-		return w, nil
-	}
-	return nil, badRequest("serve: workload has %d threads but cores=%d was given", len(workload), cores)
 }

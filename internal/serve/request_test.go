@@ -4,6 +4,7 @@ package serve
 // and validation errors.
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -44,13 +45,13 @@ func TestCanonicalizeSimulateDefaultsAndKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Simulate.Policy != "LRU" || a.Simulate.Engine != EngineDetailed {
+	if a.Simulate.Policy != "LRU" || a.Simulate.Engine != "detailed" {
 		t.Fatalf("defaults not filled: %+v", a.Simulate)
 	}
 	// Explicit defaults canonicalize to the same key: they dedup.
 	_, keyB, err := canonicalize(SubmitRequest{
 		Kind: KindSimulate, Simulate: &SimulateRequest{
-			Workload: []string{"mcf", "povray"}, Policy: "LRU", Engine: EngineDetailed,
+			Workload: []string{"mcf", "povray"}, Policy: "LRU", Engine: "detailed",
 		},
 	}, src, testTraceLen)
 	if err != nil || keyA != keyB {
@@ -230,7 +231,7 @@ func TestCanonicalizeSamplingRejections(t *testing.T) {
 		name string
 		req  SimulateRequest
 	}{
-		{"badco engine", SimulateRequest{Workload: []string{"mcf"}, Engine: EngineBadco,
+		{"badco engine", SimulateRequest{Workload: []string{"mcf"}, Engine: "badco",
 			Sampling: &SampleSpec{Unit: 4000, Window: 1000}}},
 		{"with warmup", SimulateRequest{Workload: []string{"mcf"}, Warmup: 100,
 			Sampling: &SampleSpec{Unit: 4000, Window: 1000}}},
@@ -243,6 +244,9 @@ func TestCanonicalizeSamplingRejections(t *testing.T) {
 			Sampling: &SampleSpec{Unit: 4000, Window: 1000}}},
 		{"unit beyond trace length", SimulateRequest{Workload: []string{"mcf"},
 			Sampling: &SampleSpec{Unit: 2 * testTraceLen, Window: 1000}}},
+		// Warmup+Window wraps to 1 in uint64.
+		{"wrapping warmup", SimulateRequest{Workload: []string{"mcf"},
+			Sampling: &SampleSpec{Unit: 10, Window: 2, Warmup: math.MaxUint64}}},
 	}
 	for _, c := range cases {
 		req := c.req

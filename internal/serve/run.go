@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"mcbench/internal/badco"
-	"mcbench/internal/bench"
 	"mcbench/internal/cache"
 	"mcbench/internal/experiments"
 	"mcbench/internal/multicore"
@@ -134,10 +133,8 @@ func (s *Server) runJob(ctx context.Context, j *job) (*JobResult, error) {
 	switch j.req.Kind {
 	case KindExperiment:
 		return s.runExperiment(ctx, j)
-	case KindSimulate:
-		return s.runSimulate(ctx, j)
-	case KindSweep:
-		return s.runSweep(ctx, j)
+	case KindSimulate, KindSweep:
+		return s.runAdhoc(ctx, j)
 	case KindWarm:
 		return s.runWarm(ctx, j)
 	}
@@ -203,51 +200,30 @@ func (s *Server) runExperiment(ctx context.Context, j *job) (*JobResult, error) 
 	}, nil
 }
 
-// runSimulate executes one ad-hoc workload at the lab's trace length.
-func (s *Server) runSimulate(ctx context.Context, j *job) (*JobResult, error) {
-	req := j.req.Simulate
-	results, err := s.adhocSweep(ctx, j, [][]string{req.Workload}, req.Policy, req.Engine, req.Quota, req.Warmup, req.Sampling)
-	if err != nil {
-		return nil, err
-	}
-	return &JobResult{ID: j.id, Kind: KindSimulate, Results: results}, nil
-}
-
-// runSweep executes many ad-hoc workloads under one configuration.
-func (s *Server) runSweep(ctx context.Context, j *job) (*JobResult, error) {
-	req := j.req.Sweep
-	results, err := s.adhocSweep(ctx, j, req.Workloads, req.Policy, req.Engine, req.Quota, req.Warmup, req.Sampling)
-	if err != nil {
-		return nil, err
-	}
-	return &JobResult{ID: j.id, Kind: KindSweep, Results: results}, nil
-}
-
-// adhocSweep is the shared simulate/sweep executor: traces resolve
-// through the lab's memoized source, BADCO models are built for the
-// distinct benchmarks the request touches, and the multicore sweeps
-// parallelise across the process-wide simulation budget.
-func (s *Server) adhocSweep(ctx context.Context, j *job, workloads [][]string, policy, engine string, quota, warmup uint64, sampling *SampleSpec) ([]SimResult, error) {
-	src := s.lab.Source()
-	distinct, err := bench.CheckNames(src, workloads)
+// runAdhoc executes a simulate or sweep job at the lab's trace length:
+// traces resolve through the lab's memoized source, BADCO models are
+// built for the distinct benchmarks the request touches, and the
+// multicore sweep parallelises across the process-wide simulation
+// budget.
+func (s *Server) runAdhoc(ctx context.Context, j *job) (*JobResult, error) {
+	req, err := sweepOf(j.req)
 	if err != nil {
 		return nil, err
 	}
 	prov := s.lab.Provider()
-	ws := make([]multicore.Workload, len(workloads))
-	for i, w := range workloads {
-		ws[i] = multicore.Workload(w)
+	b, distinct, err := req.batch(prov)
+	if err != nil {
+		return nil, err
 	}
-	spec := runSpec(engine, policy, quota, warmup, sampling)
 	var models map[string]*badco.Model
-	if spec.Engine == multicore.BADCO {
+	if b.Spec.Engine == multicore.BADCO {
 		if models, err = multicore.BuildModels(ctx, prov, distinct, badco.DefaultBuildConfig()); err != nil {
 			return nil, err
 		}
 		j.emit("models", fmt.Sprintf("%d BADCO models built", len(models)), map[string]any{"models": len(models)})
 	}
-	results, err := multicore.Sweep(ctx, ws, spec, prov, models)
-	if spec.Engine == multicore.Detailed {
+	results, err := multicore.Sweep(ctx, b.Workloads, b.Spec, prov, models)
+	if b.Spec.Engine == multicore.Detailed {
 		// Ad-hoc jobs are one-shot: release every trace the sweep built
 		// (BuildModels released BADCO's) so a long-running server's
 		// resident memory tracks in-flight work, not the history of
@@ -263,18 +239,18 @@ func (s *Server) adhocSweep(ctx context.Context, j *job, workloads [][]string, p
 	out := make([]SimResult, len(results))
 	for i, r := range results {
 		out[i] = SimResult{
-			Warmup:       warmup,
+			Warmup:       b.Spec.Warmup,
 			Workload:     append([]string(nil), r.Workload...),
 			Policy:       string(r.Policy),
-			Engine:       engine,
+			Engine:       b.Spec.Engine.String(),
 			IPC:          r.IPC,
 			Cycles:       r.Cycles,
 			Instructions: r.Instructions,
-			Sampling:     sampling,
+			Sampling:     req.Sampling,
 			CIHalf:       r.CIHalf,
 			CV:           r.CV,
 			Windows:      r.Windows,
 		}
 	}
-	return out, nil
+	return &JobResult{ID: j.id, Kind: j.req.Kind, Results: out}, nil
 }

@@ -252,7 +252,7 @@ func TestAdhocSimulateJob(t *testing.T) {
 	defer ts.Close()
 
 	st := submit(t, ts.URL, SubmitRequest{Kind: KindSimulate, Simulate: &SimulateRequest{
-		Workload: []string{"mcf"}, Cores: 2, Engine: EngineBadco,
+		Workload: []string{"mcf"}, Cores: 2, Engine: "badco",
 	}})
 	_, final := waitTerminal(t, ts.URL, st.ID, 60*time.Second)
 	if final != StateDone {
@@ -276,7 +276,7 @@ func TestAdhocSimulateJob(t *testing.T) {
 	// server's resident trace memory tracks in-flight work, not the
 	// history of benchmarks clients ever touched.
 	st2 := submit(t, ts.URL, SubmitRequest{Kind: KindSimulate, Simulate: &SimulateRequest{
-		Workload: []string{"gcc", "milc"}, Engine: EngineDetailed,
+		Workload: []string{"gcc", "milc"}, Engine: "detailed",
 	}})
 	if _, final := waitTerminal(t, ts.URL, st2.ID, 60*time.Second); final != StateDone {
 		t.Fatalf("detailed sim state %q", final)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"mcbench/internal/badco"
-	"mcbench/internal/bench"
 	"mcbench/internal/experiments"
 	"mcbench/internal/multicore"
 )
@@ -127,29 +126,22 @@ func (l *Lab) Simulate(ctx context.Context, workload []string, opts ...Option) (
 	if o.suite != nil {
 		return nil, fmt.Errorf("mcbench: WithSuite applies to the package-level Simulate; a Lab's source is Config.Source")
 	}
-	o.traceLen = l.lab.Config().TraceLen
-	spec, err := o.spec()
+	prov := l.lab.Provider()
+	b, err := o.batch([][]string{workload}, prov)
 	if err != nil {
-		return nil, err
-	}
-	w, err := resolveWorkload(workload, o.cores)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := bench.CheckNames(l.lab.Source(), [][]string{w}); err != nil {
 		return nil, err
 	}
 	var models map[string]*badco.Model
-	if spec.Engine == multicore.BADCO {
+	if b.Spec.Engine == multicore.BADCO {
 		if models, err = l.lab.Models(ctx); err != nil {
 			return nil, err
 		}
 	}
-	r, err := multicore.Run(ctx, multicore.Workload(w), spec, l.lab.Provider(), models)
+	results, err := sweep(ctx, b, prov, models)
 	if err != nil {
 		return nil, err
 	}
-	return convert(r, o.engine), nil
+	return results[0], nil
 }
 
 // Diffs returns the per-workload throughput differences d(w) between

@@ -1,10 +1,5 @@
 package mcbench
 
-import (
-	"mcbench/internal/multicore"
-	"mcbench/internal/serve"
-)
-
 // WithSampling runs the detailed simulation under SMARTS-style
 // systematic sampling instead of exactly: per unit µops committed by
 // each core, one window of window µops is measured by the cycle-level
@@ -46,15 +41,4 @@ func WithSampling(unit, window, warmup uint64) Option {
 // together with WithSampling.
 func WithSamplingWarm(n uint64) Option {
 	return func(o *options) { o.sampling.Warm = n }
-}
-
-// wireSampling renders the sampling options for a server submission
-// (nil when no sampling option was given, keeping exact submissions
-// byte-identical to previous versions).
-func (o options) wireSampling() *serve.SampleSpec {
-	if o.sampling == (multicore.SamplingSpec{}) {
-		return nil
-	}
-	s := o.sampling
-	return &s
 }

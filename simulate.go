@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"mcbench/internal/badco"
 	"mcbench/internal/bench"
 	"mcbench/internal/cache"
 	"mcbench/internal/multicore"
@@ -11,28 +12,18 @@ import (
 )
 
 // Engine selects the simulator behind Simulate and Sweep.
-type Engine int
+type Engine = multicore.Engine
 
+// The simulation engines.
 const (
 	// Detailed is the cycle-level out-of-order core model (the Zesto
 	// role in the paper): accurate, slow.
-	Detailed Engine = iota
+	Detailed = multicore.Detailed
 	// BADCO is the behavioural approximate core model: each benchmark
 	// is reduced to a model calibrated by two detailed runs, then
 	// simulated an order of magnitude faster.
-	BADCO
+	BADCO = multicore.BADCO
 )
-
-// String names the engine.
-func (e Engine) String() string {
-	switch e {
-	case Detailed:
-		return "detailed"
-	case BADCO:
-		return "badco"
-	}
-	return fmt.Sprintf("Engine(%d)", int(e))
-}
 
 // Policy names an LLC replacement policy. The constants below cover the
 // paper's case study (LRU, RND, FIFO, DIP, DRRIP) and the extension
@@ -143,7 +134,7 @@ func WithSuite(src Source) Option { return func(o *options) { o.suite = src } }
 const DefaultTraceLen = trace.DefaultTraceLen
 
 func buildOptions(opts []Option) options {
-	o := options{policy: LRU, engine: Detailed, traceLen: DefaultTraceLen}
+	o := options{traceLen: DefaultTraceLen}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -158,39 +149,34 @@ func (o options) source() Source {
 	return defaultSource()
 }
 
-// resolveWorkload applies WithCores to the named workload.
-func resolveWorkload(workload []string, cores int) ([]string, error) {
-	if len(workload) == 0 {
-		return nil, fmt.Errorf("mcbench: empty workload")
+// batch resolves the workloads under the options through
+// multicore.Batch against the catalogue.
+func (o options) batch(workloads [][]string, cat multicore.Catalog) (multicore.Batch, error) {
+	b := multicore.Batch{Workloads: make([]multicore.Workload, len(workloads)), Cores: o.cores, Spec: multicore.Spec{
+		Engine: o.engine, Policy: o.policy, Quota: o.quota, Warmup: o.warmup, Sampling: o.sampling,
+	}}
+	for i, w := range workloads {
+		b.Workloads[i] = w
 	}
-	if cores <= 0 || cores == len(workload) {
-		return workload, nil
+	b, _, err := b.Resolve(cat)
+	if err != nil {
+		return b, fmt.Errorf("mcbench: %w", err)
 	}
-	if len(workload) == 1 {
-		w := make([]string, cores)
-		for i := range w {
-			w[i] = workload[0]
-		}
-		return w, nil
-	}
-	return nil, fmt.Errorf("mcbench: workload has %d threads but WithCores(%d) was given", len(workload), cores)
+	return b, nil
 }
 
-// spec checks the options and returns the run they describe, with a
-// zero quota resolved to one trace length.
-func (o options) spec() (multicore.Spec, error) {
-	if o.traceLen <= 0 {
-		return multicore.Spec{}, fmt.Errorf("mcbench: non-positive trace length %d", o.traceLen)
+// sweep runs a resolved batch and converts its results. Traces stay
+// resident in the source: callers re-sweeping a source rely on that.
+func sweep(ctx context.Context, b multicore.Batch, traces multicore.TraceSource, models map[string]*badco.Model) ([]*Result, error) {
+	results, err := multicore.Sweep(ctx, b.Workloads, b.Spec, traces, models)
+	if err != nil {
+		return nil, err
 	}
-	// Engine values match multicore's; Validate rejects any other.
-	spec := multicore.Spec{
-		Engine: multicore.Engine(o.engine), Policy: o.policy,
-		Quota: o.quota, Warmup: o.warmup, Sampling: o.sampling,
-	}.Resolved(o.traceLen)
-	if err := spec.Validate(); err != nil {
-		return spec, fmt.Errorf("mcbench: %w", err)
+	out := make([]*Result, len(results))
+	for i, r := range results {
+		out[i] = convert(r, b.Spec.Engine)
 	}
-	return spec, nil
+	return out, nil
 }
 
 // convert maps a multicore result into the public Result.
@@ -217,24 +203,11 @@ func convert(r multicore.Result, engine Engine) *Result {
 //	    mcbench.WithSimulator(mcbench.BADCO),
 //	    mcbench.WithTraceLen(20000))
 func Simulate(ctx context.Context, workload []string, opts ...Option) (*Result, error) {
-	o := buildOptions(opts)
-	spec, err := o.spec()
+	results, err := Sweep(ctx, [][]string{workload}, opts...)
 	if err != nil {
 		return nil, err
 	}
-	w, err := resolveWorkload(workload, o.cores)
-	if err != nil {
-		return nil, err
-	}
-	src := o.source()
-	if _, err := bench.CheckNames(src, [][]string{w}); err != nil {
-		return nil, err
-	}
-	r, err := multicore.Run(ctx, multicore.Workload(w), spec, bench.At(src, o.traceLen), nil)
-	if err != nil {
-		return nil, err
-	}
-	return convert(r, o.engine), nil
+	return results[0], nil
 }
 
 // Sweep simulates many workloads under one configuration, in parallel
@@ -243,29 +216,10 @@ func Simulate(ctx context.Context, workload []string, opts ...Option) (*Result, 
 // distinct benchmark. The returned slice is indexed like workloads.
 func Sweep(ctx context.Context, workloads [][]string, opts ...Option) ([]*Result, error) {
 	o := buildOptions(opts)
-	spec, err := o.spec()
+	prov := bench.At(o.source(), o.traceLen)
+	b, err := o.batch(workloads, prov)
 	if err != nil {
 		return nil, err
 	}
-	ws := make([]multicore.Workload, len(workloads))
-	all := make([][]string, len(workloads))
-	for i, w := range workloads {
-		if all[i], err = resolveWorkload(w, o.cores); err != nil {
-			return nil, err
-		}
-		ws[i] = all[i]
-	}
-	src := o.source()
-	if _, err := bench.CheckNames(src, all); err != nil {
-		return nil, err
-	}
-	results, err := multicore.Sweep(ctx, ws, spec, bench.At(src, o.traceLen), nil)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Result, len(results))
-	for i, r := range results {
-		out[i] = convert(r, o.engine)
-	}
-	return out, nil
+	return sweep(ctx, b, prov, nil)
 }
