@@ -183,13 +183,11 @@ func BenchmarkBadcoSimulator8Core(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpointed policy sweeps: k policies over one workload, the warmup
-// prefix paid once through snapshot/restore versus once per policy. The
-// window shape follows sample-simulation methodology (a long warming
-// prefix, a short measured sample), where the prefix dominates. Both
-// variants run the policies sequentially, so the ratio isolates the
-// shared warmup itself (no parallelism on either side) and mirrors the
-// per-workload task of the lab's grouped detailed sweep.
+// Warmed policy sweep: k policies over one workload, each run warming
+// under its own policy, as every warmed run does. The window shape
+// follows sample-simulation methodology (a long warming prefix, a short
+// measured sample), where the prefix dominates. The policies run
+// sequentially, the per-workload task of a lab's warmed detailed sweep.
 
 const (
 	sweepTraceOps  = 100000
@@ -197,8 +195,7 @@ const (
 	sweepQuotaOps  = 5000
 )
 
-func benchSweepTraces(b *testing.B) (multicore.TraceMap, multicore.Workload) {
-	b.Helper()
+func BenchmarkPolicySweepColdWarmup(b *testing.B) {
 	traces := multicore.TraceMap{}
 	w := multicore.Workload{"mcf", "povray"}
 	for _, name := range w {
@@ -212,24 +209,6 @@ func benchSweepTraces(b *testing.B) (multicore.TraceMap, multicore.Workload) {
 		}
 		traces[name] = tr
 	}
-	return traces, w
-}
-
-func BenchmarkPolicySweepSharedWarmup(b *testing.B) {
-	traces, w := benchSweepTraces(b)
-	pols := cache.PaperPolicies()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		spec := multicore.Spec{Quota: sweepQuotaOps, Warmup: sweepWarmupOps}
-		if _, err := multicore.SweepPoliciesDetailed(bctx, w, spec, pols, traces); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPolicySweepColdWarmup(b *testing.B) {
-	traces, w := benchSweepTraces(b)
 	pols := cache.PaperPolicies()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -27,11 +27,8 @@
 //	    mcbench.WithQuota(10000),
 //	    mcbench.WithWarmup(90000))
 //
-// Under a Lab, the warmed machine state is snapshotted through the
-// kernel's checkpoint layer and every case-study policy measures from
-// the same restored prefix, so a k-policy sweep pays the (dominant)
-// warmup once instead of k times — see the README's "Checkpointed
-// sweeps" section for the equivalence argument and measured speedups.
+// Every warmed run, on either engine and under a Lab too, warms under
+// the policy it measures — see the README's "Warmup" section.
 //
 // WithSampling trades exactness for time on long traces: the detailed
 // engine measures one window per sampling unit (SMARTS-style systematic
@@ -225,15 +222,9 @@
 // batches (StepUntil) instead of per µop — provably the same schedule,
 // enforced bit-for-bit by golden tests against a retained per-step
 // reference driver — and the cpu/cache/uncore hot paths run free of map
-// traffic and steady-state allocations. Every machine component also
-// snapshots into and restores from reusable state buffers
-// (Snapshot/Restore on cpu.Core, badco.Machine, uncore and below), the
-// checkpoint layer behind WithWarmup's shared-warmup sweeps; golden
-// tests pin snapshot→restore→run bit-identical to the uninterrupted
-// run. See
-// README.md's Performance, "Checkpointed sweeps" and "Sampled
-// simulation" sections, with measured speedups in BENCH_2.json,
-// BENCH_6.json and BENCH_9.json (scripts/bench.sh).
+// traffic and steady-state allocations. See README.md's Performance
+// and "Sampled simulation" sections, with measured speedups in
+// BENCH_2.json and BENCH_9.json (scripts/bench.sh).
 //
 // See DESIGN.md for the system inventory and substitutions, and
 // EXPERIMENTS.md for paper-vs-measured results. The benchmarks in

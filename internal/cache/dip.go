@@ -1,6 +1,9 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/rand"
+)
 
 // DIP implements Dynamic Insertion Policy (Qureshi et al., ISCA 2007):
 // set-dueling between traditional LRU insertion (at MRU) and Bimodal
@@ -24,12 +27,12 @@ type dipPolicy struct {
 	floor      int64   // decrements for LRU-position stamps
 	stamps     []int64 // recency stamps; larger = more recent
 	psel       int     // >= (max+1)/2 selects BIP in follower sets
-	rng        *seededRand
+	rng        *rand.Rand
 }
 
 // NewDIPPolicy returns a DIP replacement policy.
 func NewDIPPolicy(seed int64) Policy {
-	return &dipPolicy{rng: newSeededRand(seed), psel: (dipPSELMax + 1) / 2}
+	return &dipPolicy{rng: rand.New(rand.NewSource(seed)), psel: (dipPSELMax + 1) / 2}
 }
 
 func (p *dipPolicy) Name() string { return string(DIP) }

@@ -1,6 +1,9 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/rand"
+)
 
 // Policy is a replacement policy attached to one cache. Implementations
 // keep per-set metadata; the cache calls the hooks on demand hits, demand
@@ -126,12 +129,12 @@ func (p *lruPolicy) Victim(set int) int {
 
 type randomPolicy struct {
 	ways int
-	rng  *seededRand
+	rng  *rand.Rand
 }
 
 // NewRandomPolicy returns a policy that evicts a uniformly random way.
 func NewRandomPolicy(seed int64) Policy {
-	return &randomPolicy{rng: newSeededRand(seed)}
+	return &randomPolicy{rng: rand.New(rand.NewSource(seed))}
 }
 
 func (p *randomPolicy) Name() string { return string(Random) }

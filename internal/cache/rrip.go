@@ -1,6 +1,9 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/rand"
+)
 
 // RRIP policies (Jaleel et al., ISCA 2010) predict re-reference intervals
 // with a 2-bit RRPV per line. SRRIP inserts at "long" (RRPV = max-1) and
@@ -77,12 +80,12 @@ func (p *srripPolicy) OnFill(set, way int) {
 type drripPolicy struct {
 	rripCore
 	psel int
-	rng  *seededRand
+	rng  *rand.Rand
 }
 
 // NewDRRIPPolicy returns a dynamic RRIP policy dueling SRRIP vs BRRIP.
 func NewDRRIPPolicy(seed int64) Policy {
-	return &drripPolicy{rng: newSeededRand(seed), psel: (rripPSELMax + 1) / 2}
+	return &drripPolicy{rng: rand.New(rand.NewSource(seed)), psel: (rripPSELMax + 1) / 2}
 }
 
 func (p *drripPolicy) Name() string                { return string(DRRIP) }

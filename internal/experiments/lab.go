@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -40,6 +39,7 @@ import (
 	"mcbench/internal/results"
 	"mcbench/internal/telemetry"
 	"mcbench/internal/trace"
+	"mcbench/internal/uncore"
 	"mcbench/internal/workload"
 )
 
@@ -87,16 +87,12 @@ type Config struct {
 	// checksum-verified before use and any failure is a plain miss.
 	RemoteFetch func(key string) (data []byte, ok bool, err error)
 
-	// Warmup, when positive, runs every detailed-simulator workload for
-	// that many committed µops per core before its measurement window
-	// begins. The detailed population sweeps then share the warmed
-	// prefix across the case-study policies: each workload is warmed
-	// once, snapshotted, and every policy's measurement fans out from
-	// the restored state (multicore.SweepPoliciesDetailed), so
-	// a k-policy sweep pays the warmup once instead of k times. Warmed
-	// tables persist under distinct cache keys. The default 0 measures
-	// from reset and keeps every result — and every persisted cache
-	// file — bit-identical to previous versions.
+	// Warmup, when positive, runs every workload of the population
+	// sweeps, detailed and BADCO, for that many committed µops per core
+	// before its measurement window begins (multicore.Spec.Warmup). Each
+	// table warms under the policy it measures, as every other warmed
+	// run does. Warmed tables persist under distinct cache keys. The
+	// default 0 measures from reset.
 	Warmup int
 
 	// Sampling, when enabled, runs every detailed-simulator sweep under
@@ -305,11 +301,6 @@ type Lab struct {
 	refIPC    flightGroup[int, []float64]      // per core count: per-benchmark alone IPC
 	badcoIPC  flightGroup[ipcKey, [][]float64] // population IPC tables (BADCO)
 	detIPC    flightGroup[ipcKey, [][]float64] // detailed IPC tables over DetSample
-
-	// detShared memoizes the shared-warmup grouped sweep per core count:
-	// one warmed prefix per workload, every case-study policy measured
-	// from it. Only consulted when cfg.Warmup > 0.
-	detShared flightGroup[int, map[cache.PolicyName][][]float64]
 
 	// Sweep counters record how many full population sweeps actually ran
 	// (persistent-cache hits excluded); the single-flight regression
@@ -549,9 +540,8 @@ func (l *Lab) BadcoIPC(ctx context.Context, cores int, policy cache.PolicyName) 
 	})
 }
 
-// badcoSweep sweeps the whole population with BADCO machines. BADCO is
-// cheap enough that sharing a warmed prefix across policies buys
-// nothing: each workload warms on its own.
+// badcoSweep sweeps the whole population with BADCO machines, each
+// workload warmed under the measured policy when Config.Warmup is set.
 func (l *Lab) badcoSweep(ctx context.Context, cores int, policy cache.PolicyName) (results.IPCTable, error) {
 	models, err := l.Models(ctx)
 	if err != nil {
@@ -658,73 +648,20 @@ func (l *Lab) detWorkloads(cores int) []multicore.Workload {
 	return ws
 }
 
-// detailedSweep computes one detailed IPC table. Without a warmup it
-// is the plain population sweep, exact or sampled (Config.Sampling; a
-// sampled sweep also fills the confidence and cv columns). With a
-// positive warmup, a case-study policy is served from the grouped
-// shared-warmup sweep (all policies at once, one warmed prefix per
-// workload); any other policy warms alone.
+// detailedSweep computes one detailed IPC table over the detailed
+// sample: exact or sampled (Config.Sampling; a sampled sweep also fills
+// the confidence and cv columns), warmed under the measured policy when
+// Config.Warmup is set. The sweep resolves traces lazily through the
+// source: only benchmarks that actually appear in the sample are ever
+// built.
 func (l *Lab) detailedSweep(ctx context.Context, cores int, policy cache.PolicyName) (results.IPCTable, error) {
-	if l.cfg.Warmup == 0 || l.cfg.Sampling.Enabled() {
-		l.detSweeps.Add(1)
-		// The sweep resolves traces lazily through the source: only
-		// benchmarks that actually appear in the sample are ever built.
-		spec := multicore.Spec{Policy: policy, Warmup: uint64(l.cfg.Warmup), Sampling: l.cfg.Sampling}
-		rs, err := multicore.Sweep(ctx, l.detWorkloads(cores), spec, l.Provider(), nil)
-		if err != nil {
-			return results.IPCTable{}, fmt.Errorf("experiments: detailed sweep (%d cores, %s, %s): %w", cores, policy, l.cfg.Sampling, err)
-		}
-		return tableOf(rs), nil
-	}
-	var group map[cache.PolicyName][][]float64
-	var err error
-	if slices.Contains(Policies(), policy) {
-		group, err = l.detShared.do(ctx, cores, func() (map[cache.PolicyName][][]float64, error) {
-			return l.detailedSharedSweep(ctx, cores, Policies())
-		})
-	} else {
-		// Off the case-study list there is nothing to share the prefix
-		// with: warm this policy's runs on their own.
-		group, err = l.detailedSharedSweep(ctx, cores, []cache.PolicyName{policy})
-	}
-	if err != nil {
-		return results.IPCTable{}, err
-	}
-	return results.IPCTable{IPC: group[policy]}, nil
-}
-
-// detailedSharedSweep warms the detailed sample once per workload and
-// measures every requested policy from the shared prefix
-// (multicore.SweepPoliciesDetailed). The whole group counts as one
-// sweep: warmup dominates the cost the per-policy tables used to pay k
-// times over. Each workload's policies run in turn within its
-// simulation slot; the sample provides the parallelism, and peak memory
-// holds one warmup checkpoint per slot rather than per workload.
-func (l *Lab) detailedSharedSweep(ctx context.Context, cores int, pols []cache.PolicyName) (map[cache.PolicyName][][]float64, error) {
 	l.detSweeps.Add(1)
-	ws := l.detWorkloads(cores)
-	spec := multicore.Spec{Warmup: uint64(l.cfg.Warmup)}
-	tables := make(map[cache.PolicyName][][]float64, len(pols))
-	for _, p := range pols {
-		tables[p] = make([][]float64, len(ws))
+	spec := multicore.Spec{Policy: policy, Warmup: uint64(l.cfg.Warmup), Sampling: l.cfg.Sampling}
+	rs, err := multicore.Sweep(ctx, l.detWorkloads(cores), spec, l.Provider(), nil)
+	if err != nil {
+		return results.IPCTable{}, fmt.Errorf("experiments: detailed sweep (%d cores, %s, %s): %w", cores, policy, l.cfg.Sampling, err)
 	}
-	errs := make([]error, len(ws))
-	if err := multicore.RunBounded(ctx, len(ws), func(i int) {
-		rs, err := multicore.SweepPoliciesDetailed(ctx, ws[i], spec, pols, l.Provider())
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		for j, p := range pols {
-			tables[p][i] = rs[j].IPC
-		}
-	}); err != nil {
-		return nil, err
-	}
-	if err := errors.Join(errs...); err != nil {
-		return nil, fmt.Errorf("experiments: shared-warmup detailed sweep (%d cores): %w", cores, err)
-	}
-	return tables, nil
+	return tableOf(rs), nil
 }
 
 // Identity returns the lab-level identity of the tables this lab
@@ -809,8 +746,7 @@ func (l *Lab) refIPCCompute(ctx context.Context, cores int) ([]float64, error) {
 // aloneOn runs one benchmark alone against a cores-sized LRU uncore with
 // BADCO and returns its IPC.
 func aloneOn(cores int, w multicore.Workload, models map[string]*badco.Model) (float64, error) {
-	cfg := uncoreConfigFor(cores)
-	unc, err := newUncore(cfg)
+	unc, err := uncore.New(uncore.ConfigFor(cores, cache.LRU))
 	if err != nil {
 		return 0, err
 	}

@@ -36,6 +36,12 @@ func defaultModelInputs() modelInputs {
 	return in
 }
 
+// protocol names the measurement rules a table's numbers depend on
+// beyond the model: a warmed run warms under the policy it measures.
+// Changing a rule changes this line, so tables measured under the old
+// rule read as misses.
+const protocol = "warmup: per-policy"
+
 // probeLen is the per-thread µop count of the fingerprint's probe run.
 const probeLen = 2000
 
@@ -46,18 +52,19 @@ var probeBenchmarks = [2]string{"mcf", "povray"}
 var fingerprintOnce = sync.OnceValue(func() string { return fingerprint(defaultModelInputs()) })
 
 // Fingerprint identifies the simulator model this binary computes with:
-// an FNV-64 hash over the core, uncore and BADCO configurations plus the
-// per-thread quota cycles of a short fixed probe that runs both engines
-// over one shared uncore. The configurations catch a changed constant;
-// the probe catches a changed mechanism (trace generation, predictor,
-// cache, uncore timing, BADCO replay) that no constant records. It is
-// computed once per process, on first use.
+// an FNV-64 hash over the measurement protocol, the core, uncore and
+// BADCO configurations, and the per-thread quota cycles of a short fixed
+// probe that runs both engines over one shared uncore. The
+// configurations catch a changed constant; the probe catches a changed
+// mechanism (trace generation, predictor, cache, uncore timing, BADCO
+// replay) that no constant records. It is computed once per process, on
+// first use.
 func Fingerprint() string { return fingerprintOnce() }
 
 // fingerprint hashes the given model inputs and the probe run over them.
 func fingerprint(in modelInputs) string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%#v\n%#v\n%#v\n", in.core, in.uncores, in.badco)
+	fmt.Fprintf(h, "%s\n%#v\n%#v\n%#v\n", protocol, in.core, in.uncores, in.badco)
 	if cycles, err := probe(in); err != nil {
 		fmt.Fprintf(h, "probe error: %v\n", err)
 	} else {

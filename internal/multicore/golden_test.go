@@ -92,3 +92,41 @@ func TestGoldenSingleCore(t *testing.T) {
 	reference := referenceRun(t, Workload{"hmmer"}, Spec{Engine: Detailed, Policy: cache.LRU, Quota: 5000}, trs, nil)
 	assertBitIdentical(t, "detailed single-core", batched, reference)
 }
+
+// TestGoldenWarmupMatchesReferenceSchedule pins the batched two-stage
+// run to a fully per-step one: per-step warmup boundary, per-step
+// measurement.
+func TestGoldenWarmupMatchesReferenceSchedule(t *testing.T) {
+	trs := traces(t)
+	ctx := context.Background()
+	w := Workload{"mcf", "gcc"}
+	const warmup, quota = 2500, 4000
+
+	spec := Spec{Engine: Detailed, Policy: cache.LRU, Quota: quota, Warmup: warmup}
+	batched, err := Run(ctx, w, spec, trs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m, _ := mustBuild(t, w, spec, trs, nil)
+	if err := runToBoundaryReference(ctx, m.cores, warmup); err != nil {
+		t.Fatal(err)
+	}
+	n := len(m.cores)
+	targets := make([]uint64, n)
+	start := make([]uint64, n)
+	for i, c := range m.cores {
+		targets[i] = c.Committed() + quota
+		start[i] = c.Now()
+	}
+	reached := make([]bool, n)
+	quotaCycle := make([]uint64, n)
+	if err := runInterleavedFromReference(ctx, m.cores, targets, reached, quotaCycle); err != nil {
+		t.Fatal(err)
+	}
+	cycles := make([]uint64, n)
+	for i := range cycles {
+		cycles[i] = quotaCycle[i] - start[i]
+	}
+	assertBitIdentical(t, "two-stage reference", batched, assemble(w, cache.LRU, cycles, quota))
+}

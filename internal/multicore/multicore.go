@@ -20,13 +20,13 @@
 //
 //   - cap = never is the exact run: finished threads keep contending for
 //     the uncore until the slowest one crosses;
-//   - cap = target is the warmup: each core halts at the boundary, so a
-//     snapshot finds every thread there;
+//   - cap = target is the warmup: each core halts at the boundary, and
+//     the measurement then opens from wherever each thread stands;
 //   - target < cap is a sampled window: a core that crosses runs on,
 //     timed, into its next gap and halts before the next warmup region.
 //
-// Targets are per core, so a run restored from a warmup snapshot
-// measures from wherever each thread stood at the boundary.
+// A warmed run warms under the policy it measures: warmup and
+// measurement are two stages of one Run, on either engine.
 package multicore
 
 import (
@@ -461,13 +461,12 @@ func schedule(ctx context.Context, cores []stepper, targets []uint64, cap uint64
 
 // machine is one built simulation: the shared uncore and one core model
 // per workload slot. It is the one place the two engines differ — it
-// builds, snapshots and restores either of them behind the stepper
-// interface the scheduling loop drives.
+// builds either of them behind the stepper interface the scheduling
+// loop drives.
 type machine struct {
-	unc    *uncore.Uncore
-	cores  []stepper
-	cpus   []*cpu.Core      // the detailed engine's cores
-	badcos []*badco.Machine // the BADCO engine's machines
+	unc   *uncore.Uncore
+	cores []stepper
+	cpus  []*cpu.Core // the detailed engine's cores
 	// traceLen is the first benchmark's trace length, which a zero quota
 	// resolves to.
 	traceLen int
@@ -497,7 +496,6 @@ func build(ctx context.Context, w Workload, engine Engine, policy cache.PolicyNa
 				return nil, err
 			}
 			m.cores[i] = ma
-			m.badcos = append(m.badcos, ma)
 			if i == 0 {
 				m.traceLen = mod.TraceLen
 			}
@@ -551,7 +549,7 @@ func (m *machine) warm(ctx context.Context, warmup uint64) error {
 }
 
 // measure runs quota further µops per thread from the machine's current
-// state (reset, warmed or restored) and reports each thread's cycles
+// state (reset or warmed) and reports each thread's cycles
 // from its own clock at the start.
 func (m *machine) measure(ctx context.Context, w Workload, policy cache.PolicyName, quota uint64) (Result, error) {
 	n := len(m.cores)

@@ -65,8 +65,8 @@ func runToBoundaryReference(_ context.Context, cores []stepper, warmup uint64) e
 	}
 }
 
-// runInterleavedFromReference is the per-step continuation of a restored
-// or two-stage run: pick the smallest-clock core, step it one µop, record
+// runInterleavedFromReference is the per-step continuation of a
+// two-stage run: pick the smallest-clock core, step it one µop, record
 // per-core target crossings into reached/quotaCycle.
 func runInterleavedFromReference(_ context.Context, cores []stepper, targets []uint64, reached []bool, quotaCycle []uint64) error {
 	remaining := 0
@@ -123,15 +123,4 @@ func referenceRun(t *testing.T, w Workload, spec Spec, trs TraceSource, mods map
 		t.Fatal(err)
 	}
 	return assemble(w, spec.Policy, cycles, spec.Quota)
-}
-
-// warmCheckpoint warms the spec's machine to spec.Warmup µops per thread
-// and snapshots it, the shared prefix measureFrom measures from.
-func warmCheckpoint(t *testing.T, w Workload, spec Spec, trs TraceSource, mods map[string]*badco.Model) *checkpoint {
-	t.Helper()
-	m, _ := mustBuild(t, w, spec, trs, mods)
-	if err := m.warm(context.Background(), spec.Warmup); err != nil {
-		t.Fatal(err)
-	}
-	return m.capture(w, spec.Policy)
 }

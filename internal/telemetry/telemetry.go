@@ -107,13 +107,29 @@ const numBuckets = 64
 
 // Histogram is a fixed-size power-of-two-bucket histogram of int64
 // values (negative observations clamp to zero). The zero value is
-// ready to use. Observe is a handful of atomic adds — no locks, no
-// allocations — so it is safe on hot paths; quantiles are estimated
-// at read time by linear interpolation inside the landing bucket.
+// ready to use. Observe is a handful of atomic operations — no locks,
+// no allocations — so it is safe on hot paths; quantiles are estimated
+// at read time by linear interpolation inside the landing bucket,
+// clamped to the observed range.
 type Histogram struct {
 	count   atomic.Int64
 	sum     atomic.Int64
 	buckets [numBuckets]atomic.Int64
+	// max is the largest observation; minInv is math.MaxInt64 minus the
+	// smallest, so that both zero values mean "none yet" and both
+	// update as a running maximum.
+	max    atomic.Int64
+	minInv atomic.Int64
+}
+
+// raise lifts a to at least v.
+func raise(a *atomic.Int64, v int64) {
+	for {
+		cur := a.Load()
+		if v <= cur || a.CompareAndSwap(cur, v) {
+			return
+		}
+	}
 }
 
 // Observe records one value.
@@ -125,6 +141,8 @@ func (h *Histogram) Observe(v int64) {
 		v = 0
 	}
 	h.buckets[bits.Len64(uint64(v))].Add(1)
+	raise(&h.max, v)
+	raise(&h.minInv, math.MaxInt64-v)
 	h.sum.Add(v)
 	h.count.Add(1)
 }
@@ -150,13 +168,20 @@ func bucketBounds(i int) (lo, hi int64) {
 }
 
 // Quantile estimates the q-th quantile (0 <= q <= 1) of the observed
-// values by interpolating linearly within the landing bucket. Returns
-// 0 when the histogram is empty.
+// values by interpolating linearly within the landing bucket, clamped
+// to [min, max] of the observations, so it never reports a value
+// outside the observed range. Returns 0 when the histogram is empty.
 func (h *Histogram) Quantile(q float64) float64 {
 	total := h.count.Load()
 	if total == 0 {
 		return 0
 	}
+	lo, hi := float64(math.MaxInt64-h.minInv.Load()), float64(h.max.Load())
+	return min(max(h.interpolate(q, total), lo), hi)
+}
+
+// interpolate is Quantile before the clamp.
+func (h *Histogram) interpolate(q float64, total int64) float64 {
 	if q < 0 {
 		q = 0
 	}

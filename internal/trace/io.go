@@ -32,6 +32,10 @@ const (
 	traceVersion = 1
 )
 
+// minOpBytes is the smallest encoding of one op: the tag byte, a PC
+// delta and an iline delta, one byte each at least.
+const minOpBytes = 3
+
 // tag byte layout.
 const (
 	tagKindMask = 0x07
@@ -207,8 +211,10 @@ func Read(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: reading op count: %w", err)
 	}
-	if count == 0 || count > 1<<31 {
-		return nil, fmt.Errorf("trace: implausible op count %d", count)
+	// Every op takes at least minOpBytes, so a count the remaining bytes
+	// cannot hold is rejected before the op slice is allocated.
+	if count == 0 || count > uint64(br.Len())/minOpBytes {
+		return nil, fmt.Errorf("trace: implausible op count %d for %d payload bytes", count, br.Len())
 	}
 
 	ops := make([]Op, count)

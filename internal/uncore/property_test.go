@@ -111,7 +111,7 @@ func TestResetStatsKeepsState(t *testing.T) {
 		t.Fatalf("stats not reset: %+v", s)
 	}
 	// The line must still be resident (state preserved).
-	if got := u.Access(0, 0x100, 0x4000, false, false, done); got != done+u.Config().LLCLatency {
+	if got := u.Access(0, 0x100, 0x4000, false, false, done); got != done+u.cfg.LLCLatency {
 		t.Fatal("ResetStats dropped cache state")
 	}
 }

@@ -212,9 +212,6 @@ func MustNew(cfg Config) *Uncore {
 	return u
 }
 
-// Config returns the configuration the uncore was built with.
-func (u *Uncore) Config() Config { return u.cfg }
-
 // ResetStats zeroes the event counters without touching cache or MSHR
 // state, so steady-state rates can be measured after a warm-up period.
 func (u *Uncore) ResetStats() {

@@ -6,7 +6,7 @@
 #
 # Runs the per-µop simulator benchmarks (BenchmarkDetailedSimulator2Core,
 # BenchmarkBadcoSimulator2Core, BenchmarkBadcoSimulator8Core, the
-# BenchmarkPolicySweep{SharedWarmup,ColdWarmup} pair and the
+# per-policy warmed sweep BenchmarkPolicySweepColdWarmup and the
 # Benchmark{Exact,Sampled}Detailed2Core10x sampled-simulation pair, each
 # with -benchtime 3x, and BenchmarkPopulationSweep with -benchtime 1x),
 # REPS times each, and reports the MINIMUM ns/op per benchmark — the
@@ -57,7 +57,7 @@ done
 
 RAW="$OUT.raw.txt"
 : >"$RAW"
-SIMS='BenchmarkDetailedSimulator2Core$|BenchmarkBadcoSimulator2Core$|BenchmarkBadcoSimulator8Core$|BenchmarkPolicySweepSharedWarmup$|BenchmarkPolicySweepColdWarmup$|BenchmarkExactDetailed2Core10x$|BenchmarkSampledDetailed2Core10x$'
+SIMS='BenchmarkDetailedSimulator2Core$|BenchmarkBadcoSimulator2Core$|BenchmarkBadcoSimulator8Core$|BenchmarkPolicySweepColdWarmup$|BenchmarkExactDetailed2Core10x$|BenchmarkSampledDetailed2Core10x$'
 POP='BenchmarkPopulationSweep$'
 # The span-instrumented subset of SIMS: these run a second pass with
 # telemetry disabled for the overhead A/B (the sweep pair carries no
@@ -138,16 +138,6 @@ while read -r name off _; do
 		"$name" "$on" "$off" "$pct"
 done <"$RAW.off.sum" >"$TELEM_JSON"
 
-# Shared-warmup vs per-policy-warmup policy sweep, same binary and time
-# window: the checkpointed-sweep speedup. Both run sequentially, so the
-# ratio is pure per-op cost, immune to core-count differences.
-SWEEP_SPEEDUP=""
-shared=$(awk '$1 == "BenchmarkPolicySweepSharedWarmup" { print $2 }' "$RAW.sum")
-cold=$(awk '$1 == "BenchmarkPolicySweepColdWarmup" { print $2 }' "$RAW.sum")
-if [ -n "$shared" ] && [ -n "$cold" ]; then
-	SWEEP_SPEEDUP=$(awk -v c="$cold" -v s="$shared" 'BEGIN { printf "%.2f", c / s }')
-fi
-
 # Sampled vs exact detailed simulation on the 10×-length mix, same
 # binary, same traces: the cycle-proportional cost a cold low-IPC run
 # pays and sampling avoids. (Accuracy on heterogeneous mixes is the
@@ -176,9 +166,6 @@ go build $PGO -o "$MCB" ./cmd/mcbench
 	echo '{'
 	echo '  "protocol": "min ns/op over '"$REPS"' runs (sim benchmarks: -benchtime 3x; population sweep: -benchtime 1x; fleet campaign: -benchtime 100x; fresh process per run), -benchmem",'
 	echo '  "walltime_seconds": '$((END - START))','
-	if [ -n "$SWEEP_SPEEDUP" ]; then
-		echo '  "policy_sweep_shared_warmup_speedup": '"$SWEEP_SPEEDUP"','
-	fi
 	if [ -n "$SAMPLED_SPEEDUP" ]; then
 		echo '  "sampled_vs_exact_speedup": '"$SAMPLED_SPEEDUP"','
 	fi

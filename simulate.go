@@ -97,10 +97,8 @@ func WithQuota(q uint64) Option { return func(o *options) { o.quota = q } }
 // WithWarmup runs each thread for n committed µops before the
 // measurement window opens (default 0: measure from reset). Caches,
 // predictors and prefetchers warm during the prefix; IPC and cycles
-// cover only the quota µops beyond it. The warmed machine state is
-// snapshotted through the checkpoint layer, so sweeping several
-// policies over one workload pays the warmup once (see
-// multicore.SweepPoliciesDetailed and experiments.Config.Warmup).
+// cover only the quota µops beyond it. Each run warms under the policy
+// it measures, as a Lab's warmed tables do (experiments.Config.Warmup).
 func WithWarmup(n uint64) Option { return func(o *options) { o.warmup = n } }
 
 // WithTraceLen sets the per-benchmark trace length in µops (default
